@@ -1,7 +1,7 @@
 """Emotion intensity ranking from speech prosody and conversion metrics."""
 
 from .conv_metrics import contour_report, dtw_align, ddur, mcd, mcep
-from .dsp import Waveform, load_wav, mel_log_spectrogram, save_wav
+from .dsp import Waveform, load_wav, save_wav
 from .emo_eval import (
     clustering_ratio,
     emotion_classification_loss,
@@ -39,7 +39,6 @@ __all__ = [
     "load_wav",
     "mcd",
     "mcep",
-    "mel_log_spectrogram",
     "pitch_contour",
     "save_model",
     "save_wav",

@@ -24,11 +24,6 @@ class Config:
     pitch_fmax: float = 400.0
     voicing_threshold: float = 0.45
     silence_rms: float = 0.001
-    energy_frame_ms: float = 25.0
-    energy_hop_ms: float = 10.0
-    mel_bands: int = 80
-    mel_frame_ms: float = 50.0
-    mel_hop_ms: float = 12.5
     ranker_c: float = 1.0
     n_similar: int = 0  # 0 means half the ordered-pair count
     seed: int = 0
@@ -39,7 +34,6 @@ class Config:
 
     def validate(self) -> None:
         positive = ("lld_frame_ms", "lld_hop_ms", "pitch_frame_ms", "pitch_hop_ms",
-                    "energy_frame_ms", "energy_hop_ms", "mel_frame_ms", "mel_hop_ms",
                     "ranker_c")
         for name in positive:
             if getattr(self, name) <= 0:
@@ -50,8 +44,6 @@ class Config:
             raise InvalidParamsError("voicing_threshold must be in [0, 1]")
         if self.silence_rms < 0.0:
             raise InvalidParamsError("silence_rms must be >= 0")
-        if self.mel_bands < 1:
-            raise InvalidParamsError("mel_bands must be >= 1")
         if self.mcep_order < 1:
             raise InvalidParamsError("mcep_order must be >= 1")
         if self.n_similar < 0 or self.jobs < 0:

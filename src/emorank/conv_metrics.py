@@ -3,8 +3,9 @@
 Mel cepstral distortion averages, over a DTW-aligned frame path,
 (10 * sqrt(2) / ln 10) * (1/M) * sqrt(sum of squared coefficient
 differences), excluding the energy coefficient c0 by default.  Duration
-difference compares total voiced time between two recordings.  The contour
-report bundles both with DTW-aligned F0 and energy trajectories.
+difference compares total voiced time between the F0 contours of two
+recordings.  The contour report bundles both with DTW-aligned F0 and energy
+trajectories.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .features import (
     DEFAULT_PITCH_HOP_MS,
     DEFAULT_SILENCE_RMS,
     DEFAULT_VOICING_THRESHOLD,
+    F0Contour,
     energy_contour,
     pitch_contour,
 )
@@ -194,8 +196,7 @@ def mcd(a: McepSequence, b: McepSequence, include_c0: bool = False) -> float:
     return float(per_frame.mean())
 
 
-def _voiced_duration_s(waveform: Waveform, mode: str, **pitch_kwargs) -> float:
-    contour = pitch_contour(waveform, **pitch_kwargs)
+def _voiced_duration_s(contour: F0Contour, mode: str) -> float:
     hop_s = contour.frame_shift_ms / 1000.0
     if mode == "voiced":
         return float(contour.voiced.sum()) * hop_s
@@ -205,17 +206,16 @@ def _voiced_duration_s(waveform: Waveform, mode: str, **pitch_kwargs) -> float:
     return float(where[-1] - where[0] + 1) * hop_s
 
 
-def ddur(converted: Waveform, reference: Waveform, mode: str = "voiced",
-         **pitch_kwargs) -> float:
-    """Absolute voiced-duration difference in seconds.
+def ddur(converted: F0Contour, reference: F0Contour, mode: str = "voiced") -> float:
+    """Absolute voiced-duration difference in seconds between two F0 contours.
 
     Mode "voiced" counts all voiced frames; mode "span" measures first to
     last voiced frame inclusive.
     """
     if mode not in DDUR_MODES:
         raise InvalidParamsError(f"mode must be one of {DDUR_MODES}, got {mode!r}")
-    conv = _voiced_duration_s(converted, mode, **pitch_kwargs)
-    ref = _voiced_duration_s(reference, mode, **pitch_kwargs)
+    conv = _voiced_duration_s(converted, mode)
+    ref = _voiced_duration_s(reference, mode)
     return abs(ref - conv)
 
 
@@ -232,8 +232,14 @@ def contour_report(converted: Waveform, reference: Waveform,
 
     F0 and energy contours share the pitch framing so their frame indices
     are comparable; each contour is DTW-aligned on its own.  The reported
-    n_aligned_frames is the F0 path length.
+    n_aligned_frames is the F0 path length.  Both waveforms must share one
+    sample rate, since Mel bands and frame lengths depend on it.
     """
+    if converted.sample_rate != reference.sample_rate:
+        raise InvalidParamsError(
+            f"sample rates differ: converted {converted.sample_rate} Hz, "
+            f"reference {reference.sample_rate} Hz"
+        )
     pitch_kwargs = dict(frame_ms=frame_ms, hop_ms=hop_ms, fmin=fmin, fmax=fmax,
                         voicing_threshold=voicing_threshold, silence_rms=silence_rms)
     f0_conv = pitch_contour(converted, **pitch_kwargs)
@@ -244,7 +250,7 @@ def contour_report(converted: Waveform, reference: Waveform,
     f0_path = dtw_align(f0_conv.f0_hz, f0_ref.f0_hz)
     en_path = dtw_align(en_conv.energy, en_ref.energy)
     distortion = mcd(mcep(converted, order=mcep_order), mcep(reference, order=mcep_order))
-    duration_gap = ddur(converted, reference, mode=ddur_mode, **pitch_kwargs)
+    duration_gap = ddur(f0_conv, f0_ref, mode=ddur_mode)
 
     return EvaluationReport(
         mcd_db=distortion,

@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidParamsError, NonFiniteError, UnsupportedFormatError
 
-DEFAULT_MEL_BANDS = 80
-DEFAULT_MEL_FRAME_MS = 50.0
-DEFAULT_MEL_HOP_MS = 12.5
 DEFAULT_LOG_FLOOR = 1e-10
 
 PCM_SCALE = 32768.0
@@ -69,23 +66,6 @@ class FilterBank:
     @property
     def n_filters(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass(eq=False)
-class MelSpectrogram:
-    """Natural-log Mel band energies, one row per frame."""
-
-    values: np.ndarray
-    frame_len_ms: float
-    frame_shift_ms: float
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_mels(self) -> int:
-        return self.values.shape[1]
 
 
 def load_wav(path) -> Waveform:
@@ -201,24 +181,3 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
     return 1 << max(0, int(n) - 1).bit_length()
-
-
-def mel_log_spectrogram(waveform: Waveform,
-                        n_mels: int = DEFAULT_MEL_BANDS,
-                        frame_ms: float = DEFAULT_MEL_FRAME_MS,
-                        hop_ms: float = DEFAULT_MEL_HOP_MS,
-                        floor: float = DEFAULT_LOG_FLOOR,
-                        fmin: float = 0.0,
-                        fmax: float | None = None) -> MelSpectrogram:
-    """Natural-log Mel spectrogram with FFT size the next power of two."""
-    if floor <= 0.0:
-        raise InvalidParamsError("floor must be positive")
-    sr = waveform.sample_rate
-    frame_len = int(round(sr * frame_ms / 1000.0))
-    hop = int(round(sr * hop_ms / 1000.0))
-    frames = frame(waveform, frame_len, hop)
-    n_fft = next_pow2(frame_len)
-    power = power_spectrogram(frames, n_fft)
-    bank = mel_filterbank(n_mels, n_fft, sr, fmin=fmin, fmax=fmax)
-    energy = power @ bank.weights.T
-    return MelSpectrogram(np.log(np.maximum(energy, floor)), frame_ms, hop_ms)

@@ -320,19 +320,23 @@ def write_features_csv(vectors, path) -> None:
 
 
 def read_features_csv(path) -> list:
-    """Read feature vectors written by write_features_csv."""
+    """Read feature vectors written by write_features_csv; ids must be unique."""
     expected = feature_csv_header()
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0].split(",") != expected:
         raise ParseError(f"{path}: bad feature CSV header")
     vectors = []
+    seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != len(expected):
             raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(parts)}")
+        if parts[0] in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
+        seen.add(parts[0])
         try:
             values = np.array([float(v) for v in parts[1:]])
         except ValueError as exc:

@@ -181,8 +181,10 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
 
     Features are z-scored (per-column std floored at 1e-8) unless
     standardize is False.  Iterations stop when the gradient norm falls to
-    grad_tol or after max_iter accepted steps.  The solver report records
-    the objective after every step; backtracking keeps it non-increasing.
+    grad_tol, after max_iter accepted steps, or when backtracking finds no
+    step that passes the Armijo test (converged stays False).  The solver
+    report records the objective after every accepted step; the Armijo test
+    keeps it non-increasing.
     """
     if c <= 0.0:
         raise InvalidParamsError("c must be positive")
@@ -240,6 +242,9 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
             if candidate <= value + _ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
+        else:
+            # No step length decreases the objective enough: stop at w.
+            break
         w = w + step * direction
         history.append(candidate)
         steps += 1

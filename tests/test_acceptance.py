@@ -138,7 +138,7 @@ def test_criterion_5_metric_identities(sine):
         assert emotion_similarity_loss(np.array([3.0, -4.0]), np.zeros(2)) == pytest.approx(
             3.5355339059327378, abs=1e-6)
         tone = sine(dur_s=0.5)
-        assert ddur(tone, tone) == 0.0
+        assert ddur(pitch_contour(tone), pitch_contour(tone)) == 0.0
 
 
 def test_criterion_6_clustering_ratio_behaviour():

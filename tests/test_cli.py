@@ -8,6 +8,7 @@ import pytest
 
 from emorank.cli import main
 from emorank.config import Config, load_config, parse_config_file
+from emorank.dsp import save_wav
 from emorank.errors import InvalidParamsError
 
 TIMESTAMP_RE = re.compile(r'^\s*"generated_at": "[^"]+",?$', re.MULTILINE)
@@ -40,9 +41,11 @@ class TestConfig:
         values = parse_config_file(path)
         assert values == {"ranker_c": 2.5, "seed": 9, "ddur_mode": "span"}
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["rank_c", "mel_bands", "mel_frame_ms", "mel_hop_ms",
+                                     "energy_frame_ms", "energy_hop_ms"])
+    def test_unknown_key_rejected(self, tmp_path, key):
         path = tmp_path / "run.cfg"
-        path.write_text("rank_c = 2.0\n")
+        path.write_text(f"{key} = 2.0\n")
         with pytest.raises(InvalidParamsError):
             parse_config_file(path)
 
@@ -86,6 +89,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "f.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_contours_sample_rate_mismatch_is_1(self, tmp_path, capsys):
+        for name, sr in (("conv.wav", 16000), ("ref.wav", 22050)):
+            t = np.arange(sr) / sr
+            save_wav(tmp_path / name, 0.5 * np.sin(2.0 * np.pi * 220.0 * t), sr)
+        code = main(["contours", "--converted", str(tmp_path / "conv.wav"),
+                     "--reference", str(tmp_path / "ref.wav"),
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == 1
+        assert "sample rates differ" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),
@@ -156,6 +170,16 @@ class TestPipeline:
                      "--emotion", "bored", "--out", str(tmp_path / "m.json")])
         assert code == 1
         capsys.readouterr()
+
+    def test_train_duplicate_feature_id_rejected(self, cli_corpus, tmp_path, capsys):
+        lines = cli_corpus["features"].read_text().splitlines()
+        features = tmp_path / "dup.csv"
+        features.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code = main(["train-ranker", "--features", str(features),
+                     "--manifest", str(cli_corpus["manifest"]),
+                     "--emotion", "happy", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert f"dup.csv:{len(lines) + 1}: duplicate id" in capsys.readouterr().err
 
     def test_eval_conversion_report(self, cli_corpus, tmp_path, capsys):
         corpus = cli_corpus["corpus"]

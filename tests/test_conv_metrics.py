@@ -21,6 +21,7 @@ from emorank.errors import (
     NonFiniteError,
     OrderMismatchError,
 )
+from emorank.features import pitch_contour
 
 
 def _seq(rows):
@@ -151,31 +152,33 @@ class TestMcd:
 class TestDdur:
     def test_identical_is_zero(self, sine):
         wav = sine(dur_s=0.5)
-        assert ddur(wav, wav) == 0.0
+        assert ddur(pitch_contour(wav), pitch_contour(wav)) == 0.0
 
     def test_known_duration_gap(self, sine):
         # 1.0 s of tone has 97 voiced frames, 0.7 s has 67: gap is 0.3 s
-        assert ddur(sine(dur_s=1.0), sine(dur_s=0.7)) == pytest.approx(0.3, abs=1e-9)
+        gap = ddur(pitch_contour(sine(dur_s=1.0)), pitch_contour(sine(dur_s=0.7)))
+        assert gap == pytest.approx(0.3, abs=1e-9)
 
     def test_span_counts_interior_gaps(self, sine, tmp_path):
         sr = 16000
         tone = sine(dur_s=0.2).samples
         gap = np.zeros(int(0.2 * sr))
-        split_tone = Waveform(np.concatenate([tone, gap, tone]), sr)
-        solid_tone = Waveform(np.concatenate([tone, tone, gap]), sr)
-        voiced_gap = ddur(split_tone, solid_tone, mode="voiced")
-        span_gap = ddur(split_tone, solid_tone, mode="span")
+        split_f0 = pitch_contour(Waveform(np.concatenate([tone, gap, tone]), sr))
+        solid_f0 = pitch_contour(Waveform(np.concatenate([tone, tone, gap]), sr))
+        voiced_gap = ddur(split_f0, solid_f0, mode="voiced")
+        span_gap = ddur(split_f0, solid_f0, mode="span")
         assert voiced_gap < 0.05
         assert span_gap > voiced_gap + 0.1
 
     def test_silence_has_zero_duration(self, sine):
-        silence = Waveform(np.zeros(8000), 16000)
+        silence = pitch_contour(Waveform(np.zeros(8000), 16000))
         assert ddur(silence, silence, mode="span") == 0.0
-        assert ddur(sine(dur_s=0.5), silence) == pytest.approx(0.47, abs=1e-9)
+        assert ddur(pitch_contour(sine(dur_s=0.5)), silence) == pytest.approx(0.47, abs=1e-9)
 
     def test_bad_mode_rejected(self, sine):
+        f0 = pitch_contour(sine(dur_s=0.1))
         with pytest.raises(InvalidParamsError):
-            ddur(sine(dur_s=0.1), sine(dur_s=0.1), mode="frames")
+            ddur(f0, f0, mode="frames")
 
 
 class TestContourReport:
@@ -196,6 +199,10 @@ class TestContourReport:
         aligned = report.aligned_f0
         assert aligned.shape[1] == 4
         assert np.all(aligned[:, 2] == report.f0_conv[report.f0_path[:, 0]])
+
+    def test_sample_rate_mismatch_rejected(self, sine):
+        with pytest.raises(InvalidParamsError, match="sample rates differ"):
+            contour_report(sine(sr=16000), sine(sr=22050))
 
     def test_to_dict_keys(self, sine):
         report = contour_report(sine(dur_s=0.3), sine(dur_s=0.3))

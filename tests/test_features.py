@@ -8,6 +8,7 @@ from emorank.errors import DimensionMismatchError, ParseError
 from emorank.features import (
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
+    FeatureVector,
     LldMatrix,
     N_FEATURES,
     compute_llds,
@@ -212,6 +213,13 @@ class TestFeatureVector:
         assert [v.provenance for v in back] == ["u0", "u1"]
         for orig, rt in zip(vecs, back):
             np.testing.assert_array_equal(orig.values, rt.values)
+
+    def test_csv_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_features_csv([FeatureVector(np.full(N_FEATURES, v), "u0") for v in (0.0, 1.0)],
+                           path)
+        with pytest.raises(ParseError, match=r"f\.csv:3: duplicate id 'u0'"):
+            read_features_csv(path)
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from emorank import ranker
 from emorank.errors import (
     DimensionMismatchError,
     EmptyClassError,
@@ -178,6 +179,19 @@ class TestTrainRanker:
         assert len(history) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         assert model.solver_report["grad_norm"] <= 1e-6
+
+    def test_failed_line_search_stops_without_stepping(self, monkeypatch):
+        # An ascent direction fails every Armijo test; the solver must stop
+        # at the current iterate instead of taking the last halved step.
+        monkeypatch.setattr(ranker, "_cg_solve", lambda matvec, rhs: -rhs)
+        rng = np.random.default_rng(13)
+        features = rng.normal(size=(20, 4))
+        features[:10, 0] += 3.0
+        pairs = build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, seed=0)
+        report = train_ranker(pairs, c=1.0).solver_report
+        history = report["objective_history"]
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        assert report["converged"] is False
 
     def test_separable_classes_rank_correctly(self):
         rng = np.random.default_rng(14)
