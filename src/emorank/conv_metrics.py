@@ -42,6 +42,9 @@ DEFAULT_MCEP_BANDS = 40
 DEFAULT_MCEP_FRAME_MS = 25.0
 DEFAULT_MCEP_HOP_MS = 10.0
 DDUR_MODES = ("voiced", "span")
+# Rows of the DTW cost matrix built at once: bounds the difference tensor
+# to COST_BLOCK_ROWS * m * d values instead of n * m * d.
+COST_BLOCK_ROWS = 16
 
 
 @dataclass(eq=False)
@@ -83,7 +86,6 @@ class EvaluationReport:
     energy_conv: np.ndarray
     energy_ref: np.ndarray
     f0_path: np.ndarray
-    energy_path: np.ndarray
     frame_shift_ms: float
 
     @property
@@ -95,9 +97,9 @@ class EvaluationReport:
 
     @property
     def aligned_energy(self) -> np.ndarray:
-        """Columns (i, j, energy_conv[i], energy_ref[j]) along the energy alignment."""
-        i = self.energy_path[:, 0]
-        j = self.energy_path[:, 1]
+        """Columns (i, j, energy_conv[i], energy_ref[j]) along the F0 alignment."""
+        i = self.f0_path[:, 0]
+        j = self.f0_path[:, 1]
         return np.column_stack([i, j, self.energy_conv[i], self.energy_ref[j]])
 
     def to_dict(self) -> dict:
@@ -157,8 +159,10 @@ def dtw_align(a, b, distance: str = "euclidean") -> AlignmentPath:
         raise DimensionMismatchError(
             f"sequences have different widths: {a.shape[1]} vs {b.shape[1]}"
         )
-    diff = a[:, None, :] - b[None, :, :]
-    cost = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    cost = np.empty((a.shape[0], b.shape[0]))
+    for lo in range(0, a.shape[0], COST_BLOCK_ROWS):
+        diff = a[lo : lo + COST_BLOCK_ROWS, None, :] - b[None, :, :]
+        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=cost[lo : lo + COST_BLOCK_ROWS])
     table = dtw_table(cost)
 
     i, j = a.shape[0] - 1, b.shape[0] - 1
@@ -231,8 +235,8 @@ def contour_report(converted: Waveform, reference: Waveform,
     """Evaluate one converted/reference pair.
 
     F0 and energy contours share the pitch framing so their frame indices
-    are comparable; each contour is DTW-aligned on its own.  The reported
-    n_aligned_frames is the F0 path length.  Both waveforms must share one
+    are comparable; both are read along the one F0 alignment, whose length
+    is the reported n_aligned_frames.  Both waveforms must share one
     sample rate, since Mel bands and frame lengths depend on it.
     """
     if converted.sample_rate != reference.sample_rate:
@@ -248,7 +252,6 @@ def contour_report(converted: Waveform, reference: Waveform,
     en_ref = energy_contour(reference, frame_ms=frame_ms, hop_ms=hop_ms)
 
     f0_path = dtw_align(f0_conv.f0_hz, f0_ref.f0_hz)
-    en_path = dtw_align(en_conv.energy, en_ref.energy)
     distortion = mcd(mcep(converted, order=mcep_order), mcep(reference, order=mcep_order))
     duration_gap = ddur(f0_conv, f0_ref, mode=ddur_mode)
 
@@ -261,7 +264,6 @@ def contour_report(converted: Waveform, reference: Waveform,
         energy_conv=en_conv.energy,
         energy_ref=en_ref.energy,
         f0_path=f0_path.pairs,
-        energy_path=en_path.pairs,
         frame_shift_ms=hop_ms,
     )
 

@@ -8,6 +8,7 @@ exact instead of approximate.
 
 from __future__ import annotations
 
+import functools
 import wave
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ class FrameSequence:
         return self.frames.shape[0]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FilterBank:
     """Triangular Mel filters evaluated on one-sided FFT bin frequencies."""
 
@@ -150,9 +151,14 @@ def mel_to_hz(mel):
     return 700.0 * (np.power(10.0, np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=32)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
                    fmin: float = 0.0, fmax: float | None = None) -> FilterBank:
-    """Build triangular Mel filters with unit peak on FFT bin frequencies."""
+    """Build triangular Mel filters with unit peak on FFT bin frequencies.
+
+    Results are cached per argument tuple and shared between callers, so
+    their arrays are read-only.
+    """
     if fmax is None:
         fmax = sample_rate / 2.0
     if n_mels < 1:
@@ -175,6 +181,8 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
         raise InvalidParamsError(
             f"n_fft={n_fft} gives empty Mel filters; raise n_fft or lower n_mels"
         )
+    weights.flags.writeable = False
+    edges_hz.flags.writeable = False
     return FilterBank(weights, edges_hz[1:-1], sample_rate, n_fft)
 
 

@@ -311,7 +311,22 @@ def feature_csv_header() -> list:
 
 
 def write_features_csv(vectors, path) -> None:
-    """Write feature vectors as CSV rows `id,f000..f383`."""
+    """Write feature vectors as CSV rows `id,f000..f383`.
+
+    Ids must be non-empty, unique, and free of commas and line breaks, so
+    that read_features_csv reads the file back; otherwise nothing is
+    written and InvalidParamsError is raised.
+    """
+    vectors = list(vectors)
+    seen = set()
+    for vec in vectors:
+        ident = vec.provenance
+        if not ident or "," in ident or ident.splitlines() != [ident]:
+            raise InvalidParamsError(
+                f"feature id {ident!r} must be non-empty without commas or line breaks")
+        if ident in seen:
+            raise InvalidParamsError(f"duplicate feature id {ident!r}")
+        seen.add(ident)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(feature_csv_header()) + "\n")
         for vec in vectors:

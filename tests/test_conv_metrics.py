@@ -190,7 +190,7 @@ class TestContourReport:
         n = report.f0_conv.shape[0]
         assert report.n_aligned_frames == n
         np.testing.assert_array_equal(report.f0_path[:, 0], report.f0_path[:, 1])
-        np.testing.assert_array_equal(report.energy_path[:, 0], report.energy_path[:, 1])
+        np.testing.assert_array_equal(report.aligned_energy[:, 2], report.aligned_energy[:, 3])
         assert report.frame_shift_ms == 10.0
 
     def test_cross_pair_is_positive(self, sine):
@@ -210,6 +210,14 @@ class TestContourReport:
         assert set(payload) == {"mcd_db", "ddur_s", "n_aligned_frames", "frame_shift_ms",
                                 "aligned_f0", "aligned_energy"}
         assert len(payload["aligned_f0"]) == report.n_aligned_frames
+
+    def test_energy_follows_f0_path(self, sine, tmp_path):
+        report = contour_report(sine(hz=150.0), sine(hz=300.0, amp=0.2, dur_s=0.8))
+        np.testing.assert_array_equal(report.aligned_energy[:, :2], report.aligned_f0[:, :2])
+        path = tmp_path / "contours.csv"
+        write_contour_csv(report, path)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows[:, [1, 2, 5, 6]], report.aligned_energy)
 
     def test_contour_csv_round_trip(self, sine, tmp_path):
         report = contour_report(sine(hz=180.0, dur_s=0.4), sine(hz=240.0, dur_s=0.4))

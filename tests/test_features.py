@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emorank.dsp import Waveform
-from emorank.errors import DimensionMismatchError, ParseError
+from emorank.errors import DimensionMismatchError, InvalidParamsError, ParseError
 from emorank.features import (
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
@@ -216,10 +216,20 @@ class TestFeatureVector:
 
     def test_csv_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "f.csv"
-        write_features_csv([FeatureVector(np.full(N_FEATURES, v), "u0") for v in (0.0, 1.0)],
-                           path)
+        write_features_csv([FeatureVector(np.zeros(N_FEATURES), "u0")], path)
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[1] + "\n")
         with pytest.raises(ParseError, match=r"f\.csv:3: duplicate id 'u0'"):
             read_features_csv(path)
+
+    @pytest.mark.parametrize("ids", [[""], ["u0", "u0"], ["a,b"], ["a\nb"]],
+                             ids=["empty", "repeated", "comma", "newline"])
+    def test_csv_write_rejects_bad_id(self, tmp_path, ids):
+        path = tmp_path / "f.csv"
+        vecs = [FeatureVector(np.zeros(N_FEATURES), ident) for ident in ids]
+        with pytest.raises(InvalidParamsError):
+            write_features_csv(vecs, path)
+        assert not path.exists()
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
