@@ -6,10 +6,14 @@ ones.  Training minimizes a squared-slack objective
     f(w) = 0.5 ||w||^2 + C * ( sum_ordered max(0, 1 - w.(xa - xb))^2
                              + sum_similar (w.(xa - xb))^2 )
 
-by Newton iterations with conjugate-gradient linear solves and Armijo
-backtracking.  The objective is piecewise quadratic and strictly convex,
-so iterates converge to the unique minimizer.  Scores are affinely mapped
-to [0, 1] using the raw-score range observed on the training set.
+by exact Newton iterations with Armijo backtracking.  Margins, objective
+and gradient come from the per-row scores xs @ w.  The Hessian
+I + 2C * sum d^T d over the active ordered and all similar difference rows
+d is built a block of rows at a time, so each step is one d x d solve and
+memory is O(n*d + block*d).  The objective is piecewise quadratic and
+strictly convex, so iterates converge to the unique minimizer.  Scores are
+affinely mapped to [0, 1] using the raw-score range observed on the
+training set.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ EMOTIONAL_LABEL = "emotional"
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_GRAM_BLOCK = 1024
 
 
 @dataclass(eq=False)
@@ -132,6 +137,13 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
     return PairSets(ordered, similar, features)
 
 
+def _value(w: np.ndarray, s: np.ndarray, pairs: PairSets, c: float) -> float:
+    """Objective at w, given the per-row scores s of the matrix the pairs index."""
+    hinge = np.maximum(0.0, 1.0 - (s[pairs.ordered[:, 0]] - s[pairs.ordered[:, 1]]))
+    sim = s[pairs.similar[:, 0]] - s[pairs.similar[:, 1]]
+    return float(0.5 * (w @ w) + c * (hinge @ hinge + sim @ sim))
+
+
 def objective(w: np.ndarray, pairs: PairSets, c: float = DEFAULT_C) -> float:
     """Evaluate the training objective at w on the raw pair features."""
     w = np.asarray(w, dtype=np.float64)
@@ -141,36 +153,22 @@ def objective(w: np.ndarray, pairs: PairSets, c: float = DEFAULT_C) -> float:
         )
     if c <= 0.0:
         raise InvalidParamsError("c must be positive")
-    d_ord = pairs.features[pairs.ordered[:, 0]] - pairs.features[pairs.ordered[:, 1]]
-    d_sim = pairs.features[pairs.similar[:, 0]] - pairs.features[pairs.similar[:, 1]]
-    hinge = np.maximum(0.0, 1.0 - d_ord @ w)
-    sim = d_sim @ w
-    return float(0.5 * (w @ w) + c * (hinge @ hinge + sim @ sim))
+    return _value(w, pairs.features @ w, pairs, c)
 
 
-def _cg_solve(matvec, b: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Conjugate gradients for a symmetric positive definite operator."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    b_norm = np.sqrt(rs)
-    if b_norm == 0.0:
-        return x
-    for _ in range(b.size):
-        ap = matvec(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= rel_tol * b_norm:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+def _pair_gram(xs: np.ndarray, index_pairs: np.ndarray) -> np.ndarray:
+    """Sum of d^T d over the rows d = xs[a] - xs[b], _GRAM_BLOCK pairs at a time."""
+    gram = np.zeros((xs.shape[1], xs.shape[1]))
+    for start in range(0, index_pairs.shape[0], _GRAM_BLOCK):
+        block = index_pairs[start:start + _GRAM_BLOCK]
+        diff = xs[block[:, 0]] - xs[block[:, 1]]
+        gram += diff.T @ diff
+    return gram
+
+
+def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Newton step: solve hess @ direction = -grad (hess is symmetric positive definite)."""
+    return np.linalg.solve(hess, -grad)
 
 
 def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
@@ -182,9 +180,10 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
     Features are z-scored (per-column std floored at 1e-8) unless
     standardize is False.  Iterations stop when the gradient norm falls to
     grad_tol, after max_iter accepted steps, or when backtracking finds no
-    step that passes the Armijo test (converged stays False).  The solver
-    report records the objective after every accepted step; the Armijo test
-    keeps it non-increasing.
+    step that passes the Armijo test (converged stays False); the solver
+    report names which as stop_reason ("gradient", "max_iter" or
+    "line_search").  The report also records the objective after every
+    accepted step; the Armijo test keeps it non-increasing.
     """
     if c <= 0.0:
         raise InvalidParamsError("c must be positive")
@@ -196,7 +195,7 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
     if pairs.ordered.shape[0] == 0:
         raise NoOrderedPairsError("training needs at least one ordered pair")
 
-    dim = x.shape[1]
+    n_rows, dim = x.shape
     if standardize:
         mean = x.mean(axis=0)
         std = np.maximum(x.std(axis=0), STD_FLOOR)
@@ -204,61 +203,62 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
         mean = np.zeros(dim)
         std = np.ones(dim)
     xs = (x - mean) / std
-    d_ord = xs[pairs.ordered[:, 0]] - xs[pairs.ordered[:, 1]]
-    d_sim = xs[pairs.similar[:, 0]] - xs[pairs.similar[:, 1]]
+    (oa, ob), (sa, sb) = pairs.ordered.T, pairs.similar.T
+    # The similar pairs' Hessian term does not depend on w.
+    hess_fixed = np.eye(dim) + 2.0 * c * _pair_gram(xs, pairs.similar)
 
-    def value_at(wv: np.ndarray) -> float:
-        hinge = np.maximum(0.0, 1.0 - d_ord @ wv)
-        sim = d_sim @ wv
-        return float(0.5 * (wv @ wv) + c * (hinge @ hinge + sim @ sim))
+    def value_at(wv: np.ndarray) -> tuple:
+        s = xs @ wv
+        return _value(wv, s, pairs, c), s
 
     w = np.zeros(dim)
-    history = [value_at(w)]
-    converged = False
-    grad_norm = np.inf
+    value, s = value_at(w)
+    history = [value]
     steps = 0
     while True:
-        margins = d_ord @ w
-        mask = margins < 1.0
-        active = d_ord[mask]
-        grad = w - 2.0 * c * (active.T @ (1.0 - margins[mask])) \
-            + 2.0 * c * (d_sim.T @ (d_sim @ w))
+        hinge = np.maximum(0.0, 1.0 - (s[oa] - s[ob]))
+        sim = s[sa] - s[sb]
+        # Each pair term's derivative lands on its two rows' scores with
+        # opposite signs; xs^T maps the per-row sum back to weight space.
+        coef = (np.bincount(ob, hinge, n_rows) - np.bincount(oa, hinge, n_rows)
+                + np.bincount(sa, sim, n_rows) - np.bincount(sb, sim, n_rows))
+        grad = w + 2.0 * c * (xs.T @ coef)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= grad_tol:
-            converged = True
+            stop_reason = "gradient"
             break
         if steps >= max_iter:
+            stop_reason = "max_iter"
             break
 
-        def hess_vec(v: np.ndarray) -> np.ndarray:
-            return v + 2.0 * c * (active.T @ (active @ v)) + 2.0 * c * (d_sim.T @ (d_sim @ v))
-
-        direction = _cg_solve(hess_vec, -grad)
+        hess = hess_fixed + 2.0 * c * _pair_gram(xs, pairs.ordered[hinge > 0.0])
+        direction = _newton_direction(hess, grad)
         slope = float(grad @ direction)
         step = 1.0
-        value = history[-1]
         for _ in range(_MAX_BACKTRACKS):
-            candidate = value_at(w + step * direction)
+            candidate, s_candidate = value_at(w + step * direction)
             if candidate <= value + _ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
         else:
             # No step length decreases the objective enough: stop at w.
+            stop_reason = "line_search"
             break
         w = w + step * direction
-        history.append(candidate)
+        value, s = candidate, s_candidate
+        history.append(value)
         steps += 1
 
-    raw = xs @ w
     report = {
         "iterations": steps,
-        "converged": bool(converged),
+        "converged": stop_reason == "gradient",
+        "stop_reason": stop_reason,
         "grad_norm": grad_norm,
         "final_objective": history[-1],
         "objective_history": history,
     }
     return RankingModel(emotion, float(c), w, mean, std,
-                        float(raw.min()), float(raw.max()), report)
+                        float(s.min()), float(s.max()), report)
 
 
 def score(model: RankingModel, x: np.ndarray) -> float:
@@ -303,7 +303,12 @@ def save_model(model: RankingModel, path) -> None:
 
 
 def load_model(path) -> RankingModel:
-    """Load a model saved by save_model."""
+    """Load a model saved by save_model, rejecting one that cannot score.
+
+    Non-finite weights, scaler entries or score range, a feature_std entry
+    <= 0, or attr_min > attr_max raise an EmorankError instead of letting
+    score() return NaN.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -332,4 +337,11 @@ def load_model(path) -> RankingModel:
         raise SchemaVersionMismatchError(f"{path}: malformed model payload ({exc})") from exc
     if not (weights.shape == mean.shape == std.shape) or weights.ndim != 1:
         raise SchemaVersionMismatchError(f"{path}: weight and scaler shapes disagree")
+    if not np.all(np.isfinite(np.concatenate([weights, mean, std,
+                                              [model.attr_min, model.attr_max]]))):
+        raise NonFiniteError(f"{path}: weights, scaler or score range are not finite")
+    if np.any(std <= 0.0):
+        raise InvalidParamsError(f"{path}: feature_std entries must be positive")
+    if model.attr_min > model.attr_max:
+        raise InvalidParamsError(f"{path}: attr_min exceeds attr_max")
     return model

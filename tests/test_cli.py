@@ -181,6 +181,23 @@ class TestPipeline:
         assert code == 1
         assert f"dup.csv:{len(lines) + 1}: duplicate id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("feature_std", 0.0), ("weights", float("nan"))])
+    def test_score_with_unusable_model_is_1(self, cli_corpus, tmp_path, capsys, field, value):
+        model_path = tmp_path / "model.json"
+        assert main(["train-ranker", "--features", str(cli_corpus["features"]),
+                     "--manifest", str(cli_corpus["manifest"]),
+                     "--emotion", "happy", "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text())
+        payload[field][5] = value
+        model_path.write_text(json.dumps(payload))
+        scores_path = tmp_path / "scores.csv"
+        code = main(["score-intensity", "--model", str(model_path),
+                     "--features", str(cli_corpus["features"]),
+                     "--out", str(scores_path)])
+        assert code == 1
+        assert "model.json" in capsys.readouterr().err
+        assert not scores_path.exists()
+
     def test_eval_conversion_report(self, cli_corpus, tmp_path, capsys):
         corpus = cli_corpus["corpus"]
         pairs = tmp_path / "pairs.tsv"

@@ -1,6 +1,7 @@
 """Pair construction, solver correctness, scoring, and persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,15 @@ def _toy_pairs():
     # Four 1-d samples, one ordered pair with difference 2, no similar pairs.
     features = np.array([[0.0], [0.0], [2.0], [2.0]])
     return PairSets(np.array([[2, 0]]), np.empty((0, 2)), features)
+
+
+def _two_class_pairs(shift):
+    # Ten emotional and ten neutral 4-d samples, the emotional ones shifted
+    # by `shift` along the first axis.
+    rng = np.random.default_rng(13)
+    features = rng.normal(size=(20, 4))
+    features[:10, 0] += shift
+    return build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, seed=0)
 
 
 class TestPairSets:
@@ -183,7 +193,7 @@ class TestTrainRanker:
     def test_failed_line_search_stops_without_stepping(self, monkeypatch):
         # An ascent direction fails every Armijo test; the solver must stop
         # at the current iterate instead of taking the last halved step.
-        monkeypatch.setattr(ranker, "_cg_solve", lambda matvec, rhs: -rhs)
+        monkeypatch.setattr(ranker, "_newton_direction", lambda hess, grad: grad)
         rng = np.random.default_rng(13)
         features = rng.normal(size=(20, 4))
         features[:10, 0] += 3.0
@@ -192,6 +202,65 @@ class TestTrainRanker:
         history = report["objective_history"]
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert report["converged"] is False
+
+    def test_stop_reason_line_search(self, monkeypatch):
+        monkeypatch.setattr(ranker, "_newton_direction", lambda hess, grad: grad)
+        report = train_ranker(_two_class_pairs(3.0), c=1.0).solver_report
+        assert report["stop_reason"] == "line_search"
+        assert report["iterations"] == 0
+
+    def test_stop_reason_gradient(self):
+        report = train_ranker(_toy_pairs(), c=1.0, standardize=False).solver_report
+        assert report["stop_reason"] == "gradient"
+        assert report["converged"] is True
+
+    def test_stop_reason_max_iter(self):
+        report = train_ranker(_two_class_pairs(1.0), c=1.0, max_iter=1).solver_report
+        assert report["stop_reason"] == "max_iter"
+        assert report["iterations"] == 1
+        assert report["converged"] is False
+
+    def test_many_blocks_of_repeated_pairs_match_explicit_oracle(self):
+        # More ordered pairs than one Gram block, drawn with replacement so
+        # pairs repeat and every row sits in many of them; overlapping
+        # classes keep most pairs active at the optimum.
+        rng = np.random.default_rng(17)
+        features = rng.normal(size=(50, 6))
+        features[:25, 0] += 0.5
+        ordered = np.column_stack([rng.integers(0, 25, 2600), rng.integers(25, 50, 2600)])
+        first = rng.integers(0, 50, 700)
+        similar = np.column_stack([first, (first + rng.integers(1, 50, 700)) % 50])
+        pairs = PairSets(ordered, similar, features)
+        assert np.unique(ordered, axis=0).shape[0] < ordered.shape[0]
+        c = 0.3
+        model = train_ranker(pairs, c=c, standardize=False)
+        w = model.weights
+        assert model.solver_report["final_objective"] == pytest.approx(
+            objective(w, pairs, c), rel=1e-12)
+        d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
+        d_sim = features[similar[:, 0]] - features[similar[:, 1]]
+        margins = d_ord @ w
+        active = margins < 1.0
+        assert 0 < active.sum() < active.size
+        grad = w - 2.0 * c * (d_ord[active].T @ (1.0 - margins[active])) \
+            + 2.0 * c * (d_sim.T @ (d_sim @ w))
+        assert np.linalg.norm(grad) <= 1e-6
+
+    def test_memory_stays_bounded_on_criterion_3_problem(self):
+        # 600 x 384 features with 10000 ordered and 5000 similar pairs: the
+        # pair-difference matrices alone would take 46 MB.
+        rng = np.random.default_rng(30303)
+        features = rng.normal(0.0, 1.0, (600, 384))
+        features[:300, 0] += 4.0
+        pairs = build_pairs(features, ["emotional"] * 300 + ["neutral"] * 300, seed=1)
+        assert pairs.ordered.shape[0] == 10000
+        tracemalloc.start()
+        try:
+            train_ranker(pairs, c=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
     def test_separable_classes_rank_correctly(self):
         rng = np.random.default_rng(14)
@@ -281,6 +350,36 @@ class TestPersistence:
         assert back.attr_max == model.attr_max
         for row in features:
             assert score(back, row) == score(model, row)
+
+    def test_stop_reason_round_trips(self, tmp_path):
+        model, _ = self._trained()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert model.solver_report["stop_reason"] == "gradient"
+        assert load_model(path).solver_report == model.solver_report
+
+    @pytest.mark.parametrize("field, index, value, error", [
+        ("weights", 1, float("nan"), NonFiniteError),
+        ("feature_mean", 0, float("inf"), NonFiniteError),
+        ("feature_std", 2, float("nan"), NonFiniteError),
+        ("feature_std", 3, 0.0, InvalidParamsError),
+        ("feature_std", 0, -1.0, InvalidParamsError),
+        ("attr_min", None, float("-inf"), NonFiniteError),
+        ("attr_max", None, float("nan"), NonFiniteError),
+        ("attr_min", None, 1e6, InvalidParamsError),
+    ])
+    def test_unusable_model_rejected(self, tmp_path, field, index, value, error):
+        model, _ = self._trained()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        if index is None:
+            payload[field] = value
+        else:
+            payload[field][index] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(error):
+            load_model(path)
 
     def test_schema_fields_present(self, tmp_path):
         model, _ = self._trained()
