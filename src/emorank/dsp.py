@@ -90,6 +90,11 @@ def load_wav(path) -> Waveform:
             )
         sample_rate = reader.getframerate()
         raw = reader.readframes(reader.getnframes())
+    if len(raw) % 2:
+        raise UnsupportedFormatError(
+            f"{path}: truncated sample data ({len(raw)} bytes is not a whole number "
+            "of 16-bit samples)"
+        )
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     if data.size == 0:
         raise UnsupportedFormatError(f"{path}: file contains no samples")

@@ -98,13 +98,25 @@ def frame_zcr(frames: np.ndarray) -> np.ndarray:
     """Sign-change rate of each frame row, in flips per sample step."""
     if frames.shape[1] < 2:
         return np.zeros(frames.shape[0])
-    signs = np.where(frames >= 0.0, 1.0, -1.0)
-    flips = np.sum(signs[:, 1:] * signs[:, :-1] < 0.0, axis=1)
+    nonneg = frames >= 0.0
+    flips = np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
     return flips / (frames.shape[1] - 1)
 
 
 def _ms_to_samples(sample_rate: int, ms: float) -> int:
     return int(round(sample_rate * ms / 1000.0))
+
+
+def _climb_to_peak(corr: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Per row, the first lag k >= first[row] where corr stops rising.
+
+    corr stops rising at k when corr[k + 1] > corr[k] fails, and always at
+    the last lag, so every row has a stop at or after its start.
+    """
+    stop = np.ones(corr.shape, dtype=bool)
+    np.logical_not(corr[:, 1:] > corr[:, :-1], out=stop[:, :-1])
+    stop &= np.arange(corr.shape[1]) >= first[:, None]
+    return stop.argmax(axis=1)
 
 
 def _f0_from_frames(frames: np.ndarray, sample_rate: int,
@@ -128,17 +140,11 @@ def _f0_from_frames(frames: np.ndarray, sample_rate: int,
     # lag within a small slack of the global peak, then climb to the local
     # maximum of that candidate region.
     first = (corr >= (peak - SUBHARMONIC_SLACK)[:, None]).argmax(axis=1)
-    n_lags = corr.shape[1]
-    best = np.empty(n_frames, dtype=np.int64)
-    for f in range(n_frames):
-        k = int(first[f])
-        while k + 1 < n_lags and corr[f, k + 1] > corr[f, k]:
-            k += 1
-        best[f] = k
+    best = _climb_to_peak(corr, first)
 
     # Parabolic refinement of the peak lag where both neighbors exist.
     lag_star = (lag_min + best).astype(np.float64)
-    interior = (best > 0) & (best < n_lags - 1)
+    interior = (best > 0) & (best < corr.shape[1] - 1)
     left = corr[rows[interior], best[interior] - 1]
     mid = corr[rows[interior], best[interior]]
     right = corr[rows[interior], best[interior] + 1]
@@ -236,32 +242,6 @@ def delta(llds: LldMatrix) -> LldMatrix:
     return LldMatrix(acc / DELTA_NORM, llds.frame_shift_ms)
 
 
-def _column_functionals(col: np.ndarray) -> list:
-    n = col.size
-    imin = int(np.argmin(col))
-    imax = int(np.argmax(col))
-    cmin = col[imin]
-    cmax = col[imax]
-    mean = float(col.mean())
-    rel_min = imin / (n - 1) if n > 1 else 0.0
-    rel_max = imax / (n - 1) if n > 1 else 0.0
-    if cmax == cmin:
-        # Constant contour: moments and regression residuals vanish exactly.
-        return [mean, 0.0, 0.0, 0.0, cmin, rel_min, cmax, rel_max, 0.0, mean, 0.0, 0.0]
-    std = float(col.std())
-    z = (col - mean) / std
-    skew = float(np.mean(z ** 3))
-    kurt = float(np.mean(z ** 4)) - 3.0
-    t = np.arange(n, dtype=np.float64)
-    t_centered = t - t.mean()
-    slope = float(t_centered @ (col - mean) / (t_centered @ t_centered)) if n > 1 else 0.0
-    offset = mean - slope * t.mean()
-    resid = col - (offset + slope * t)
-    mse = float(np.mean(resid * resid))
-    return [mean, std, skew, kurt, cmin, rel_min, cmax, rel_max,
-            float(cmax - cmin), offset, slope, mse]
-
-
 def functionals(llds: LldMatrix, deltas: LldMatrix, provenance: str = "") -> FeatureVector:
     """Twelve statistics per contour over descriptors and their deltas.
 
@@ -275,12 +255,38 @@ def functionals(llds: LldMatrix, deltas: LldMatrix, provenance: str = "") -> Fea
         )
     if llds.values.shape[1] != len(LLD_COLUMNS) or deltas.values.shape[1] != len(LLD_COLUMNS):
         raise DimensionMismatchError(f"expected {len(LLD_COLUMNS)} descriptor columns")
-    combined = np.hstack([llds.values, deltas.values])
-    out = np.empty(N_FEATURES)
-    for c in range(combined.shape[1]):
-        out[c * len(FUNCTIONAL_NAMES) : (c + 1) * len(FUNCTIONAL_NAMES)] = \
-            _column_functionals(combined[:, c])
-    return FeatureVector(out, provenance)
+    # One contour per C-contiguous row: row reductions then add in the same
+    # order as on a single column, so mean and std match it bitwise.
+    x = np.ascontiguousarray(np.hstack([llds.values, deltas.values]).T)
+    n = x.shape[1]
+    rows = np.arange(x.shape[0])
+    imin = x.argmin(axis=1)
+    imax = x.argmax(axis=1)
+    cmin = x[rows, imin]
+    cmax = x[rows, imax]
+    # Constant contours: moments and regression residuals vanish exactly.
+    constant = cmax == cmin
+    mean = x.mean(axis=1)
+    dev = x - mean[:, None]
+    std = np.sqrt(np.mean(dev * dev, axis=1))
+    std[constant] = 0.0
+    z = dev / np.where(constant, 1.0, std)[:, None]
+    z2 = z * z
+    skew = np.mean(z2 * z, axis=1)
+    kurt = np.mean(z2 * z2, axis=1) - 3.0
+    t = np.arange(n, dtype=np.float64)
+    t_centered = t - t.mean()
+    slope = dev @ t_centered / (t_centered @ t_centered if n > 1 else 1.0)
+    slope[constant] = 0.0
+    offset = mean - slope * t.mean()
+    resid = x - (offset[:, None] + slope[:, None] * t)
+    mse = np.mean(resid * resid, axis=1)
+    for stat in (skew, kurt, mse):
+        stat[constant] = 0.0
+    span = max(n - 1, 1)
+    stats = np.column_stack([mean, std, skew, kurt, cmin, imin / span, cmax, imax / span,
+                             cmax - cmin, offset, slope, mse])
+    return FeatureVector(stats.ravel(), provenance)
 
 
 def extract_feature_vector(waveform: Waveform, provenance: str = "",
@@ -330,8 +336,8 @@ def write_features_csv(vectors, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(feature_csv_header()) + "\n")
         for vec in vectors:
-            row = [vec.provenance] + [repr(float(v)) for v in vec.values]
-            handle.write(",".join(row) + "\n")
+            values = np.asarray(vec.values, dtype=np.float64).tolist()
+            handle.write(vec.provenance + "," + ",".join(map(repr, values)) + "\n")
 
 
 def read_features_csv(path) -> list:

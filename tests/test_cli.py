@@ -101,11 +101,71 @@ class TestExitCodes:
         assert "sample rates differ" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_truncated_wav_is_1(self, tmp_path, capsys):
+        t = np.arange(1600) / 16000
+        save_wav(tmp_path / "cut.wav", 0.5 * np.sin(2.0 * np.pi * 220.0 * t), 16000)
+        data = (tmp_path / "cut.wav").read_bytes()
+        (tmp_path / "cut.wav").write_bytes(data[: 44 + 501])
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("utt_id\twav_path\tspeaker\temotion\tsplit\n"
+                            "u0\tcut.wav\tspk\tneutral\ttrain\n")
+        code = main(["extract-features", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated sample data" in err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "f.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("io error:")
+
+
+@pytest.fixture(scope="module")
+def cli_model(cli_corpus):
+    """A happy-intensity model trained on the CLI corpus."""
+    model = cli_corpus["root"] / "model.json"
+    assert main(["train-ranker", "--features", str(cli_corpus["features"]),
+                 "--manifest", str(cli_corpus["manifest"]),
+                 "--emotion", "happy", "--out", str(model)]) == 0
+    return model
+
+
+class TestFailureInjection:
+    """An output directory that does not exist is an I/O error, exit 2."""
+
+    def _inputs(self, command, cli_corpus, cli_model, tmp_path) -> list:
+        if command == "extract-features":
+            return ["--manifest", str(cli_corpus["manifest"])]
+        if command == "eval-conversion":
+            corpus = cli_corpus["corpus"]
+            pairs = tmp_path / "pairs.tsv"
+            pairs.write_text("converted_wav\treference_wav\n"
+                             f"{corpus}/happy000.wav\t{corpus}/neu000.wav\n")
+            return ["--pairs", str(pairs)]
+        return ["--model", str(cli_model), "--features", str(cli_corpus["features"])]
+
+    @pytest.mark.parametrize("command", ["extract-features", "eval-conversion",
+                                         "score-intensity"])
+    @pytest.mark.parametrize("where", ["out", "config_out_dir"])
+    def test_missing_output_dir_is_2(self, cli_corpus, cli_model, tmp_path, capsys,
+                                     command, where):
+        missing = tmp_path / "missing"
+        argv = [command] + self._inputs(command, cli_corpus, cli_model, tmp_path)
+        if where == "out":
+            argv += ["--out", str(missing / "result")]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"out_dir = {missing}\n")
+            argv += ["--out", "result", "--config", str(config)]
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("io error:")
+        assert not missing.exists()
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestDescribeFeatures:

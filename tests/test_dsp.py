@@ -78,6 +78,13 @@ class TestLoadWav:
         with pytest.raises(UnsupportedFormatError):
             load_wav(path)
 
+    def test_truncated_to_odd_byte_count_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        _write_pcm(path, [100] * 600)
+        path.write_bytes(path.read_bytes()[: 44 + 501])
+        with pytest.raises(UnsupportedFormatError, match="truncated sample data"):
+            load_wav(path)
+
     def test_save_round_trip(self, tmp_path):
         path = tmp_path / "rt.wav"
         x = np.sin(2 * np.pi * 220 * np.arange(1600) / 16000) * 0.5

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emorank.dsp import Waveform
 from emorank.errors import DimensionMismatchError, InvalidParamsError, ParseError
@@ -11,6 +14,7 @@ from emorank.features import (
     FeatureVector,
     LldMatrix,
     N_FEATURES,
+    _climb_to_peak,
     compute_llds,
     delta,
     energy_contour,
@@ -25,10 +29,117 @@ from emorank.features import (
 )
 
 F = len(FUNCTIONAL_NAMES)
+N_CONTOURS = 2 * len(LLD_COLUMNS)
+# functionals against the per-column loop: third and fourth powers are
+# products instead of `**`, and the regression terms come from one
+# matrix-vector product instead of per-column dot products (at most 7.6e-13
+# relative and 2.7e-12 absolute on the 120 utterances of the seed-0 corpus).
+FUNCTIONALS_RTOL = 1e-10
+FUNCTIONALS_ATOL = 1e-12
+# These come from the same reductions in the same order, so they are exact.
+BITWISE_FUNCTIONALS = ("mean", "stddev", "min", "rel_min_pos", "max", "rel_max_pos",
+                       "range")
 
 
 def _col(name):
     return FUNCTIONAL_NAMES.index(name)
+
+
+def _column_functionals(col):
+    """One contour's twelve functionals, a loop reference for functionals."""
+    n = col.size
+    imin = int(np.argmin(col))
+    imax = int(np.argmax(col))
+    cmin = col[imin]
+    cmax = col[imax]
+    mean = float(col.mean())
+    rel_min = imin / (n - 1) if n > 1 else 0.0
+    rel_max = imax / (n - 1) if n > 1 else 0.0
+    if cmax == cmin:
+        return [mean, 0.0, 0.0, 0.0, cmin, rel_min, cmax, rel_max, 0.0, mean, 0.0, 0.0]
+    std = float(col.std())
+    z = (col - mean) / std
+    skew = float(np.mean(z ** 3))
+    kurt = float(np.mean(z ** 4)) - 3.0
+    t = np.arange(n, dtype=np.float64)
+    t_centered = t - t.mean()
+    slope = float(t_centered @ (col - mean) / (t_centered @ t_centered)) if n > 1 else 0.0
+    offset = mean - slope * t.mean()
+    resid = col - (offset + slope * t)
+    mse = float(np.mean(resid * resid))
+    return [mean, std, skew, kurt, cmin, rel_min, cmax, rel_max,
+            float(cmax - cmin), offset, slope, mse]
+
+
+def _climb_loop(corr, first):
+    """Per-frame peak climb, the loop reference for _climb_to_peak."""
+    best = np.empty(corr.shape[0], dtype=np.int64)
+    for f in range(corr.shape[0]):
+        k = int(first[f])
+        while k + 1 < corr.shape[1] and corr[f, k + 1] > corr[f, k]:
+            k += 1
+        best[f] = k
+    return best
+
+
+def _zcr_sign_product(frames):
+    """Zero-crossing rate from products of +/-1 signs, the reference for frame_zcr."""
+    if frames.shape[1] < 2:
+        return np.zeros(frames.shape[0])
+    signs = np.where(frames >= 0.0, 1.0, -1.0)
+    flips = np.sum(signs[:, 1:] * signs[:, :-1] < 0.0, axis=1)
+    return flips / (frames.shape[1] - 1)
+
+
+@st.composite
+def _contour_matrices(draw):
+    """(n_frames, 32) contours: plain, constant, near-constant, |x| ~ 1e4, ties."""
+    n = draw(st.integers(1, 60))
+    x = draw(arrays(np.float64, (n, N_CONTOURS),
+                    elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    kinds = draw(st.lists(st.sampled_from(["plain", "constant", "near_constant",
+                                           "large_offset", "large_scale", "ties"]),
+                          min_size=N_CONTOURS, max_size=N_CONTOURS))
+    level = draw(st.floats(-1e4, 1e4, allow_subnormal=False))
+    for c, kind in enumerate(kinds):
+        if kind == "constant":
+            x[:, c] = level
+        elif kind == "near_constant":
+            x[:, c] = level + 1e-9 * x[:, c]
+        elif kind == "large_offset":
+            x[:, c] += np.copysign(1e4, level)
+        elif kind == "large_scale":
+            x[:, c] *= 1e4
+        elif kind == "ties":
+            x[:, c] = np.round(2.0 * x[:, c])
+    return x
+
+
+@st.composite
+def _spread_contours(draw):
+    """A contour on a grid of 1/8 whose range is at least 1.
+
+    Grid values shift exactly and stay distinct under scaling, so extremum
+    positions do not move by rounding.
+    """
+    n = draw(st.integers(2, 60))
+    col = draw(arrays(np.float64, n, elements=st.integers(-80, 80).map(lambda v: v / 8.0)))
+    col[draw(st.integers(0, n - 1))] = col.max() + 1.0
+    return col
+
+
+def _assert_functionals_close(got, expected, magnitude):
+    """Within 1e-9 relative, or 1e-9 absolute in each functional's unit.
+
+    A contour of this magnitude gives the unit of mean, spread, extrema and
+    regression terms, its square that of the MSE; the rest are unitless.
+    """
+    units = {"mean": magnitude, "stddev": magnitude, "min": magnitude, "max": magnitude,
+             "range": magnitude, "lr_offset": magnitude, "lr_slope": magnitude,
+             "lr_mse": magnitude * magnitude}
+    atol = 1e-9 * np.array([units.get(name, 1.0) for name in FUNCTIONAL_NAMES])
+    bad = np.abs(got - expected) > 1e-9 * np.abs(expected) + atol
+    assert not bad.any(), [(FUNCTIONAL_NAMES[i], got[i], expected[i]) for i in np.flatnonzero(bad)]
 
 
 class TestFrameStats:
@@ -47,6 +158,14 @@ class TestFrameStats:
     def test_zcr_half(self):
         # one flip over four sample steps
         assert frame_zcr(np.array([[1.0, 1.0, 1.0, -1.0, -1.0]]))[0] == 0.25
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda rows: st.integers(1, 40).flatmap(
+        lambda frame_len: arrays(np.float64, (rows, frame_len), elements=st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-300, -1e-300]),
+            st.floats(-1.0, 1.0, allow_subnormal=False))))))
+    def test_zcr_bitwise_equals_sign_products(self, frames):
+        np.testing.assert_array_equal(frame_zcr(frames), _zcr_sign_product(frames))
 
 
 class TestPitch:
@@ -75,6 +194,16 @@ class TestPitch:
         b = pitch_contour(sine(amp=0.3))
         np.testing.assert_array_equal(a.voiced, b.voiced)
         assert np.max(np.abs(a.f0_hz - b.f0_hz)) < 0.1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda rows: st.integers(1, 40).flatmap(
+        lambda n_lags: st.tuples(
+            arrays(np.float64, (rows, n_lags), elements=st.integers(0, 3).map(float)),
+            arrays(np.int64, rows, elements=st.integers(0, n_lags - 1))))))
+    @example((np.array([[0.0, 1.0, 2.0], [3.0, 3.0, 3.0]]), np.array([2, 2])))
+    def test_peak_climb_bitwise_equals_loop(self, case):
+        corr, first = case
+        np.testing.assert_array_equal(_climb_to_peak(corr, first), _climb_loop(corr, first))
 
     def test_voiced_marks_match_zero_f0(self, sine):
         tone = sine(dur_s=0.4).samples
@@ -172,6 +301,42 @@ class TestFunctionals:
         assert fwd[_col("rel_max_pos")] == pytest.approx(
             1.0 - rev[_col("rel_max_pos")], abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_contour_matrices())
+    def test_matches_column_loop(self, x):
+        llds = LldMatrix(x[:, : len(LLD_COLUMNS)], 10.0)
+        deltas = LldMatrix(x[:, len(LLD_COLUMNS) :], 10.0)
+        got = functionals(llds, deltas).values.reshape(N_CONTOURS, F)
+        ref = np.array([_column_functionals(x[:, c]) for c in range(N_CONTOURS)])
+        np.testing.assert_allclose(got, ref, rtol=FUNCTIONALS_RTOL, atol=FUNCTIONALS_ATOL)
+        exact = [_col(name) for name in BITWISE_FUNCTIONALS]
+        np.testing.assert_array_equal(got[:, exact], ref[:, exact])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_spread_contours(), st.integers(-800, 800).map(lambda v: v / 8.0))
+    def test_shift_moves_location_only(self, col, b):
+        base = self._vector_for(col)
+        moved = self._vector_for(col + b)
+        expected = base.copy()
+        for name in ("mean", "min", "max", "lr_offset"):
+            expected[_col(name)] += b
+        _assert_functionals_close(moved, expected, np.max(np.abs(col)) + abs(b))
+        for name in ("rel_min_pos", "rel_max_pos"):
+            assert moved[_col(name)] == base[_col(name)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_spread_contours(), st.floats(0.01, 100.0))
+    def test_scale_multiplies_by_unit(self, col, a):
+        base = self._vector_for(col)
+        scaled = self._vector_for(a * col)
+        expected = base.copy()
+        for name in ("mean", "stddev", "min", "max", "range", "lr_offset", "lr_slope"):
+            expected[_col(name)] *= a
+        expected[_col("lr_mse")] *= a * a
+        _assert_functionals_close(scaled, expected, a * np.max(np.abs(col)))
+        for name in ("rel_min_pos", "rel_max_pos"):
+            assert scaled[_col(name)] == base[_col(name)]
 
     def test_frame_count_mismatch(self):
         a = LldMatrix(np.zeros((4, len(LLD_COLUMNS))), 10.0)
