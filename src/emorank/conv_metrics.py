@@ -2,7 +2,7 @@
 
 Mel cepstral distortion averages, over a DTW-aligned frame path,
 (10 * sqrt(2) / ln 10) * (1/M) * sqrt(sum of squared coefficient
-differences), excluding the energy coefficient c0 by default.  Duration
+differences), excluding the energy coefficient c0.  Duration
 difference compares total voiced time between the F0 contours of two
 recordings.  The contour report bundles both with DTW-aligned F0 and energy
 trajectories.
@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
-from .dsp import Waveform, frame, mel_filterbank, next_pow2, power_spectrogram
+from .dsp import Waveform, frame, mel_cepstrum, next_pow2, power_spectrogram
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -88,50 +87,20 @@ class EvaluationReport:
     f0_path: np.ndarray
     frame_shift_ms: float
 
-    @property
-    def aligned_f0(self) -> np.ndarray:
-        """Columns (i, j, f0_conv[i], f0_ref[j]) along the F0 alignment."""
-        i = self.f0_path[:, 0]
-        j = self.f0_path[:, 1]
-        return np.column_stack([i, j, self.f0_conv[i], self.f0_ref[j]])
 
-    @property
-    def aligned_energy(self) -> np.ndarray:
-        """Columns (i, j, energy_conv[i], energy_ref[j]) along the F0 alignment."""
-        i = self.f0_path[:, 0]
-        j = self.f0_path[:, 1]
-        return np.column_stack([i, j, self.energy_conv[i], self.energy_ref[j]])
-
-    def to_dict(self) -> dict:
-        return {
-            "mcd_db": float(self.mcd_db),
-            "ddur_s": float(self.ddur_s),
-            "n_aligned_frames": int(self.n_aligned_frames),
-            "frame_shift_ms": float(self.frame_shift_ms),
-            "aligned_f0": [[int(r[0]), int(r[1]), float(r[2]), float(r[3])]
-                           for r in self.aligned_f0],
-            "aligned_energy": [[int(r[0]), int(r[1]), float(r[2]), float(r[3])]
-                               for r in self.aligned_energy],
-        }
-
-
-def mcep(waveform: Waveform, order: int = DEFAULT_MCEP_ORDER,
-         frame_ms: float = DEFAULT_MCEP_FRAME_MS,
-         hop_ms: float = DEFAULT_MCEP_HOP_MS,
-         n_bands: int = DEFAULT_MCEP_BANDS,
-         floor: float = 1e-10) -> McepSequence:
-    """Mel cepstra: orthonormal DCT-II of the log Mel power spectrum."""
-    if order < 1 or order >= n_bands:
-        raise InvalidParamsError(f"order must be in [1, {n_bands - 1}], got {order}")
+def mcep(waveform: Waveform, order: int = DEFAULT_MCEP_ORDER) -> McepSequence:
+    """Mel cepstra c0..order of DEFAULT_MCEP_BANDS Mel bands, one row per frame."""
+    if order < 1 or order >= DEFAULT_MCEP_BANDS:
+        raise InvalidParamsError(
+            f"order must be in [1, {DEFAULT_MCEP_BANDS - 1}], got {order}")
     sr = waveform.sample_rate
-    frame_len = int(round(sr * frame_ms / 1000.0))
-    hop = int(round(sr * hop_ms / 1000.0))
+    frame_len = int(round(sr * DEFAULT_MCEP_FRAME_MS / 1000.0))
+    hop = int(round(sr * DEFAULT_MCEP_HOP_MS / 1000.0))
     frames = frame(waveform, frame_len, hop)
-    power = power_spectrogram(frames, next_pow2(frame_len))
-    bank = mel_filterbank(n_bands, next_pow2(frame_len), sr)
-    log_mel = np.log(np.maximum(power @ bank.weights.T, floor))
-    coeffs = dct(log_mel, type=2, norm="ortho", axis=1)[:, : order + 1]
-    return McepSequence(coeffs, hop_ms)
+    n_fft = next_pow2(frame_len)
+    power = power_spectrogram(frames, n_fft)
+    coeffs = mel_cepstrum(power, DEFAULT_MCEP_BANDS, n_fft, sr)[:, : order + 1]
+    return McepSequence(coeffs, DEFAULT_MCEP_HOP_MS)
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -145,14 +114,13 @@ def _as_sequence(x) -> np.ndarray:
     return arr
 
 
-def dtw_align(a, b, distance: str = "euclidean") -> AlignmentPath:
+def dtw_align(a, b) -> AlignmentPath:
     """Dynamic time warping with steps (1,0), (0,1), (1,1).
 
     Ties during backtracking prefer the diagonal step, then advancing the
-    first sequence.  Cost is the Euclidean distance between frame vectors.
+    first sequence.  The cost of a cell is the Euclidean norm of the
+    difference of its two frame vectors.
     """
-    if distance != "euclidean":
-        raise InvalidParamsError(f"unsupported distance {distance!r}")
     a = _as_sequence(a)
     b = _as_sequence(b)
     if a.shape[1] != b.shape[1]:
@@ -186,13 +154,12 @@ def dtw_align(a, b, distance: str = "euclidean") -> AlignmentPath:
     return AlignmentPath(np.array(path, dtype=np.int64), float(table[-1, -1]))
 
 
-def mcd(a: McepSequence, b: McepSequence, include_c0: bool = False) -> float:
-    """Mean Mel cepstral distortion in dB over the DTW-aligned path."""
+def mcd(a: McepSequence, b: McepSequence) -> float:
+    """Mean Mel cepstral distortion in dB over the DTW-aligned path, c0 excluded."""
     if a.order != b.order:
         raise OrderMismatchError(f"cepstral orders differ: {a.order} vs {b.order}")
-    start = 0 if include_c0 else 1
-    ca = a.coeffs[:, start:]
-    cb = b.coeffs[:, start:]
+    ca = a.coeffs[:, 1:]
+    cb = b.coeffs[:, 1:]
     n_coeff = ca.shape[1]
     path = dtw_align(ca, cb).pairs
     diff = ca[path[:, 0]] - cb[path[:, 1]]

@@ -1,4 +1,4 @@
-"""Waveform I/O, framing, power spectra, and Mel filterbank analysis.
+"""Waveform I/O, framing, power spectra, Mel filterbank outputs and cepstra.
 
 All analysis runs on mono float64 sample arrays.  Spectra are one-sided
 power spectra scaled so that each row sums to n_fft times the mean squared
@@ -13,6 +13,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
 
 from .errors import EmptyInputError, InvalidParamsError, NonFiniteError, UnsupportedFormatError
 
@@ -64,10 +65,6 @@ class FilterBank:
     sample_rate: int
     n_fft: int
 
-    @property
-    def n_filters(self) -> int:
-        return self.weights.shape[0]
-
 
 def load_wav(path) -> Waveform:
     """Read a 16-bit PCM mono RIFF/WAVE file, scaling samples by 1/32768."""
@@ -89,11 +86,16 @@ def load_wav(path) -> Waveform:
                 f"{path}: expected 16-bit samples, got {8 * reader.getsampwidth()}-bit"
             )
         sample_rate = reader.getframerate()
+        declared = 2 * reader.getnframes()
         raw = reader.readframes(reader.getnframes())
     if len(raw) % 2:
         raise UnsupportedFormatError(
             f"{path}: truncated sample data ({len(raw)} bytes is not a whole number "
             "of 16-bit samples)"
+        )
+    if len(raw) < declared:
+        raise UnsupportedFormatError(
+            f"{path}: truncated sample data ({len(raw)} of {declared} declared bytes)"
         )
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     if data.size == 0:
@@ -157,24 +159,18 @@ def mel_to_hz(mel):
 
 
 @functools.lru_cache(maxsize=32)
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
-                   fmin: float = 0.0, fmax: float | None = None) -> FilterBank:
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> FilterBank:
     """Build triangular Mel filters with unit peak on FFT bin frequencies.
 
-    Results are cached per argument tuple and shared between callers, so
-    their arrays are read-only.
+    The filters span 0 Hz to sample_rate / 2.  Results are cached per
+    argument tuple and shared between callers, so their arrays are
+    read-only.
     """
-    if fmax is None:
-        fmax = sample_rate / 2.0
     if n_mels < 1:
         raise InvalidParamsError("n_mels must be >= 1")
     if n_fft < 2:
         raise InvalidParamsError("n_fft must be >= 2")
-    if not 0.0 <= fmin < fmax <= sample_rate / 2.0:
-        raise InvalidParamsError(
-            f"need 0 <= fmin < fmax <= sample_rate/2, got fmin={fmin} fmax={fmax}"
-        )
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    edges_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
     bin_freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
     weights = np.zeros((n_mels, bin_freqs.size))
     for m in range(n_mels):
@@ -189,6 +185,17 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
     weights.flags.writeable = False
     edges_hz.flags.writeable = False
     return FilterBank(weights, edges_hz[1:-1], sample_rate, n_fft)
+
+
+def mel_energies(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Outputs of the n_mels-filter Mel bank on each row of an n_fft power spectrogram."""
+    return power @ mel_filterbank(n_mels, n_fft, sample_rate).weights.T
+
+
+def mel_cepstrum(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Orthonormal DCT-II of the log Mel energies floored at DEFAULT_LOG_FLOOR, per row."""
+    energies = mel_energies(power, n_mels, n_fft, sample_rate)
+    return dct(np.log(np.maximum(energies, DEFAULT_LOG_FLOOR)), type=2, norm="ortho", axis=1)
 
 
 def next_pow2(n: int) -> int:

@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
-from .dsp import (
-    DEFAULT_LOG_FLOOR,
-    Waveform,
-    frame,
-    mel_filterbank,
-    next_pow2,
-    power_spectrogram,
-)
+from .dsp import Waveform, frame, mel_cepstrum, mel_energies, next_pow2, power_spectrogram
 from .errors import DimensionMismatchError, InvalidParamsError, ParseError
 from .kernels import autocorr_matrix
 
@@ -180,15 +172,13 @@ def pitch_contour(waveform: Waveform,
 
 def energy_contour(waveform: Waveform,
                    frame_ms: float = DEFAULT_ENERGY_FRAME_MS,
-                   hop_ms: float = DEFAULT_ENERGY_HOP_MS,
-                   n_filters: int = N_MEL_FILTERS) -> EnergyContour:
-    """Per-frame sum of Mel filterbank outputs on the power spectrum."""
+                   hop_ms: float = DEFAULT_ENERGY_HOP_MS) -> EnergyContour:
+    """Per-frame sum of the N_MEL_FILTERS Mel filter outputs on the power spectrum."""
     sr = waveform.sample_rate
     frames = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
     n_fft = next_pow2(frames.frame_len)
     power = power_spectrogram(frames, n_fft)
-    bank = mel_filterbank(n_filters, n_fft, sr)
-    return EnergyContour((power @ bank.weights.T).sum(axis=1), hop_ms)
+    return EnergyContour(mel_energies(power, N_MEL_FILTERS, n_fft, sr).sum(axis=1), hop_ms)
 
 
 def compute_llds(waveform: Waveform,
@@ -218,9 +208,7 @@ def compute_llds(waveform: Waveform,
 
     n_fft = next_pow2(frames.frame_len)
     power = power_spectrogram(frames, n_fft)
-    bank = mel_filterbank(N_MEL_FILTERS, n_fft, sr)
-    log_mel = np.log(np.maximum(power @ bank.weights.T, DEFAULT_LOG_FLOOR))
-    mfcc = dct(log_mel, type=2, norm="ortho", axis=1)[:, 1 : N_MFCC + 1]
+    mfcc = mel_cepstrum(power, N_MEL_FILTERS, n_fft, sr)[:, 1 : N_MFCC + 1]
 
     values = np.column_stack([zcr, rms, f0, hnr, mfcc])
     return LldMatrix(values, hop_ms)
@@ -341,7 +329,7 @@ def write_features_csv(vectors, path) -> None:
 
 
 def read_features_csv(path) -> list:
-    """Read feature vectors written by write_features_csv; ids must be unique."""
+    """Read feature vectors written by write_features_csv; ids unique, values finite."""
     expected = feature_csv_header()
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -362,5 +350,7 @@ def read_features_csv(path) -> list:
             values = np.array([float(v) for v in parts[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric feature value") from exc
+        if not np.all(np.isfinite(values)):
+            raise ParseError(f"{path}:{lineno}: non-finite feature value")
         vectors.append(FeatureVector(values, parts[0]))
     return vectors

@@ -101,20 +101,46 @@ class TestExitCodes:
         assert "sample rates differ" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
-    def test_truncated_wav_is_1(self, tmp_path, capsys):
-        t = np.arange(1600) / 16000
+    @staticmethod
+    def _extract_cut_wav(tmp_path, capsys, n_samples: int, n_data_bytes: int) -> str:
+        """Exit code check for extract-features on a WAV cut to n_data_bytes."""
+        t = np.arange(n_samples) / 16000
         save_wav(tmp_path / "cut.wav", 0.5 * np.sin(2.0 * np.pi * 220.0 * t), 16000)
         data = (tmp_path / "cut.wav").read_bytes()
-        (tmp_path / "cut.wav").write_bytes(data[: 44 + 501])
+        (tmp_path / "cut.wav").write_bytes(data[: 44 + n_data_bytes])
         manifest = tmp_path / "manifest.tsv"
         manifest.write_text("utt_id\twav_path\tspeaker\temotion\tsplit\n"
                             "u0\tcut.wav\tspk\tneutral\ttrain\n")
         code = main(["extract-features", "--manifest", str(manifest),
                      "--out", str(tmp_path / "f.csv")])
         assert code == 1
+        assert not (tmp_path / "f.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truncated sample data" in err
-        assert not (tmp_path / "f.csv").exists()
+        return err
+
+    def test_truncated_wav_is_1(self, tmp_path, capsys):
+        self._extract_cut_wav(tmp_path, capsys, 1600, 501)
+
+    def test_wav_shorter_than_header_is_1(self, tmp_path, capsys):
+        err = self._extract_cut_wav(tmp_path, capsys, 600, 500)
+        assert "500 of 1200 declared bytes" in err
+
+    def test_non_finite_features_is_1(self, cli_corpus, cli_model, tmp_path, capsys):
+        lines = cli_corpus["features"].read_text().splitlines()
+        for row, value in ((1, "nan"), (2, "inf")):
+            fields = lines[row].split(",")
+            fields[7] = value
+            lines[row] = ",".join(fields)
+        features = tmp_path / "bad.csv"
+        features.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["score-intensity", "--model", str(cli_model),
+                     "--features", str(features), "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.csv:2: non-finite feature value" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),

@@ -402,6 +402,19 @@ class TestFeatureVector:
         with pytest.raises(ParseError):
             read_features_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "f.csv"
+        write_features_csv([FeatureVector(np.zeros(N_FEATURES), "u0"),
+                            FeatureVector(np.ones(N_FEATURES), "u1")], path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[5] = bad
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"f\.csv:3: non-finite feature value"):
+            read_features_csv(path)
+
 
 class TestEnergyContour:
     def test_silence_is_zero(self):
