@@ -7,6 +7,7 @@ Values on the command line override the file, which overrides defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -33,6 +34,10 @@ class Config:
     out_dir: str = "."
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is float and not math.isfinite(value):
+                raise InvalidParamsError(f"{name} must be finite, got {value!r}")
         positive = ("lld_frame_ms", "lld_hop_ms", "pitch_frame_ms", "pitch_hop_ms",
                     "ranker_c")
         for name in positive:
@@ -46,8 +51,8 @@ class Config:
             raise InvalidParamsError("silence_rms must be >= 0")
         if self.mcep_order < 1:
             raise InvalidParamsError("mcep_order must be >= 1")
-        if self.n_similar < 0 or self.jobs < 0:
-            raise InvalidParamsError("n_similar and jobs must be >= 0")
+        if self.n_similar < 0 or self.jobs < 0 or self.seed < 0:
+            raise InvalidParamsError("n_similar, jobs and seed must be >= 0")
         if self.ddur_mode not in DDUR_MODES:
             raise InvalidParamsError(f"ddur_mode must be one of {DDUR_MODES}")
 

@@ -47,22 +47,6 @@ COST_BLOCK_ROWS = 16
 
 
 @dataclass(eq=False)
-class McepSequence:
-    """Mel cepstral coefficients c0..order, one row per frame."""
-
-    coeffs: np.ndarray
-    frame_shift_ms: float
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    @property
-    def n_frames(self) -> int:
-        return self.coeffs.shape[0]
-
-
-@dataclass(eq=False)
 class AlignmentPath:
     """Monotone index pairs from (0, 0) to (n-1, m-1) plus total cost."""
 
@@ -85,11 +69,10 @@ class EvaluationReport:
     energy_conv: np.ndarray
     energy_ref: np.ndarray
     f0_path: np.ndarray
-    frame_shift_ms: float
 
 
-def mcep(waveform: Waveform, order: int = DEFAULT_MCEP_ORDER) -> McepSequence:
-    """Mel cepstra c0..order of DEFAULT_MCEP_BANDS Mel bands, one row per frame."""
+def mcep(waveform: Waveform, order: int = DEFAULT_MCEP_ORDER) -> np.ndarray:
+    """Mel cepstra c0..order of DEFAULT_MCEP_BANDS Mel bands, (n_frames, order + 1)."""
     if order < 1 or order >= DEFAULT_MCEP_BANDS:
         raise InvalidParamsError(
             f"order must be in [1, {DEFAULT_MCEP_BANDS - 1}], got {order}")
@@ -99,8 +82,7 @@ def mcep(waveform: Waveform, order: int = DEFAULT_MCEP_ORDER) -> McepSequence:
     frames = frame(waveform, frame_len, hop)
     n_fft = next_pow2(frame_len)
     power = power_spectrogram(frames, n_fft)
-    coeffs = mel_cepstrum(power, DEFAULT_MCEP_BANDS, n_fft, sr)[:, : order + 1]
-    return McepSequence(coeffs, DEFAULT_MCEP_HOP_MS)
+    return mel_cepstrum(power, DEFAULT_MCEP_BANDS, n_fft, sr)[:, : order + 1]
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -154,12 +136,16 @@ def dtw_align(a, b) -> AlignmentPath:
     return AlignmentPath(np.array(path, dtype=np.int64), float(table[-1, -1]))
 
 
-def mcd(a: McepSequence, b: McepSequence) -> float:
-    """Mean Mel cepstral distortion in dB over the DTW-aligned path, c0 excluded."""
-    if a.order != b.order:
-        raise OrderMismatchError(f"cepstral orders differ: {a.order} vs {b.order}")
-    ca = a.coeffs[:, 1:]
-    cb = b.coeffs[:, 1:]
+def mcd(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean Mel cepstral distortion in dB over the DTW-aligned path, c0 excluded.
+
+    a and b hold cepstra c0..order, one row per frame.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise OrderMismatchError(
+            f"cepstral orders differ: {a.shape[1] - 1} vs {b.shape[1] - 1}")
+    ca = a[:, 1:]
+    cb = b[:, 1:]
     n_coeff = ca.shape[1]
     path = dtw_align(ca, cb).pairs
     diff = ca[path[:, 0]] - cb[path[:, 1]]
@@ -228,10 +214,9 @@ def contour_report(converted: Waveform, reference: Waveform,
         n_aligned_frames=len(f0_path),
         f0_conv=f0_conv.f0_hz,
         f0_ref=f0_ref.f0_hz,
-        energy_conv=en_conv.energy,
-        energy_ref=en_ref.energy,
+        energy_conv=en_conv,
+        energy_ref=en_ref,
         f0_path=f0_path.pairs,
-        frame_shift_ms=hop_ms,
     )
 
 

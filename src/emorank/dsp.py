@@ -43,29 +43,6 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
 
-@dataclass(eq=False)
-class FrameSequence:
-    """Overlapping fixed-length frames cut from one waveform."""
-
-    frames: np.ndarray
-    frame_len: int
-    hop: int
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass(eq=False, frozen=True)
-class FilterBank:
-    """Triangular Mel filters evaluated on one-sided FFT bin frequencies."""
-
-    weights: np.ndarray
-    centers_hz: np.ndarray
-    sample_rate: int
-    n_fft: int
-
-
 def load_wav(path) -> Waveform:
     """Read a 16-bit PCM mono RIFF/WAVE file, scaling samples by 1/32768."""
     try:
@@ -114,8 +91,8 @@ def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
         writer.writeframes(pcm.tobytes())
 
 
-def frame(waveform: Waveform, frame_len: int, hop: int) -> FrameSequence:
-    """Cut a waveform into overlapping frames.
+def frame(waveform: Waveform, frame_len: int, hop: int) -> np.ndarray:
+    """Cut a waveform into a C-contiguous (n_frames, frame_len) array.
 
     Yields floor((n_samples - frame_len) / hop) + 1 frames.  Inputs shorter
     than one frame produce a single zero-padded frame.
@@ -126,22 +103,23 @@ def frame(waveform: Waveform, frame_len: int, hop: int) -> FrameSequence:
     if x.size < frame_len:
         padded = np.zeros((1, frame_len))
         padded[0, : x.size] = x
-        return FrameSequence(padded, frame_len, hop)
+        return padded
     windows = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return FrameSequence(np.ascontiguousarray(windows, dtype=np.float64), frame_len, hop)
+    return np.ascontiguousarray(windows, dtype=np.float64)
 
 
-def power_spectrogram(frames: FrameSequence, n_fft: int) -> np.ndarray:
+def power_spectrogram(frames: np.ndarray, n_fft: int) -> np.ndarray:
     """One-sided Hann-windowed power spectrum, one row per frame.
 
     Rows are scaled as |X[k]|^2 / n_fft with non-DC, non-Nyquist bins
     doubled, so each row sums to n_fft times the mean squared value of the
     zero-padded windowed frame.
     """
-    if n_fft < frames.frame_len:
-        raise InvalidParamsError(f"n_fft={n_fft} shorter than frame_len={frames.frame_len}")
-    window = np.hanning(frames.frame_len)
-    spectrum = np.fft.rfft(frames.frames * window, n=n_fft, axis=1)
+    frame_len = frames.shape[1]
+    if n_fft < frame_len:
+        raise InvalidParamsError(f"n_fft={n_fft} shorter than frame_len={frame_len}")
+    window = np.hanning(frame_len)
+    spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
     power = (spectrum.real ** 2 + spectrum.imag ** 2) / n_fft
     last = power.shape[1] - 1 if n_fft % 2 == 0 else power.shape[1]
     power[:, 1:last] *= 2.0
@@ -159,12 +137,11 @@ def mel_to_hz(mel):
 
 
 @functools.lru_cache(maxsize=32)
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> FilterBank:
-    """Build triangular Mel filters with unit peak on FFT bin frequencies.
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Triangular Mel filter weights with unit peak, (n_mels, n_fft // 2 + 1).
 
     The filters span 0 Hz to sample_rate / 2.  Results are cached per
-    argument tuple and shared between callers, so their arrays are
-    read-only.
+    argument tuple and shared between callers, so the array is read-only.
     """
     if n_mels < 1:
         raise InvalidParamsError("n_mels must be >= 1")
@@ -183,13 +160,12 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> FilterBank:
             f"n_fft={n_fft} gives empty Mel filters; raise n_fft or lower n_mels"
         )
     weights.flags.writeable = False
-    edges_hz.flags.writeable = False
-    return FilterBank(weights, edges_hz[1:-1], sample_rate, n_fft)
+    return weights
 
 
 def mel_energies(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Outputs of the n_mels-filter Mel bank on each row of an n_fft power spectrogram."""
-    return power @ mel_filterbank(n_mels, n_fft, sample_rate).weights.T
+    return power @ mel_filterbank(n_mels, n_fft, sample_rate).T
 
 
 def mel_cepstrum(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:

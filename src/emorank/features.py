@@ -45,18 +45,6 @@ N_FEATURES = 2 * len(LLD_COLUMNS) * len(FUNCTIONAL_NAMES)
 
 
 @dataclass(eq=False)
-class LldMatrix:
-    """Per-frame descriptor matrix, one column per descriptor."""
-
-    values: np.ndarray
-    frame_shift_ms: float
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(eq=False)
 class FeatureVector:
     """Fixed-length utterance descriptor with an optional source id."""
 
@@ -70,14 +58,6 @@ class F0Contour:
 
     f0_hz: np.ndarray
     voiced: np.ndarray
-    frame_shift_ms: float
-
-
-@dataclass(eq=False)
-class EnergyContour:
-    """Per-frame total Mel-filtered spectral energy."""
-
-    energy: np.ndarray
     frame_shift_ms: float
 
 
@@ -165,20 +145,19 @@ def pitch_contour(waveform: Waveform,
     """
     sr = waveform.sample_rate
     frames = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
-    f0, voiced, _ = _f0_from_frames(frames.frames, sr, fmin, fmax,
-                                    voicing_threshold, silence_rms)
+    f0, voiced, _ = _f0_from_frames(frames, sr, fmin, fmax, voicing_threshold, silence_rms)
     return F0Contour(f0, voiced, hop_ms)
 
 
 def energy_contour(waveform: Waveform,
                    frame_ms: float = DEFAULT_ENERGY_FRAME_MS,
-                   hop_ms: float = DEFAULT_ENERGY_HOP_MS) -> EnergyContour:
+                   hop_ms: float = DEFAULT_ENERGY_HOP_MS) -> np.ndarray:
     """Per-frame sum of the N_MEL_FILTERS Mel filter outputs on the power spectrum."""
     sr = waveform.sample_rate
     frames = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
-    n_fft = next_pow2(frames.frame_len)
+    n_fft = next_pow2(frames.shape[1])
     power = power_spectrogram(frames, n_fft)
-    return EnergyContour(mel_energies(power, N_MEL_FILTERS, n_fft, sr).sum(axis=1), hop_ms)
+    return mel_energies(power, N_MEL_FILTERS, n_fft, sr).sum(axis=1)
 
 
 def compute_llds(waveform: Waveform,
@@ -187,16 +166,15 @@ def compute_llds(waveform: Waveform,
                  fmin: float = DEFAULT_F0_MIN_HZ,
                  fmax: float = DEFAULT_F0_MAX_HZ,
                  voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
-                 silence_rms: float = DEFAULT_SILENCE_RMS) -> LldMatrix:
-    """Compute the 16 per-frame descriptors on a shared framing.
+                 silence_rms: float = DEFAULT_SILENCE_RMS) -> np.ndarray:
+    """Compute the 16 per-frame descriptors on a shared framing, (n_frames, 16).
 
     Columns follow LLD_COLUMNS: zero-crossing rate, RMS, F0 (0 when
     unvoiced), harmonics-to-noise ratio in dB clamped to +/-60, and MFCCs
     1..12 from a 26-filter Mel bank.
     """
     sr = waveform.sample_rate
-    frames = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
-    x = frames.frames
+    x = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
 
     zcr = frame_zcr(x)
     rms = frame_rms(x)
@@ -206,46 +184,43 @@ def compute_llds(waveform: Waveform,
     safe = np.clip(peak, 1e-12, 1.0 - 1e-12)
     hnr = np.clip(10.0 * np.log10(safe / (1.0 - safe)), -HNR_LIMIT_DB, HNR_LIMIT_DB)
 
-    n_fft = next_pow2(frames.frame_len)
-    power = power_spectrogram(frames, n_fft)
+    n_fft = next_pow2(x.shape[1])
+    power = power_spectrogram(x, n_fft)
     mfcc = mel_cepstrum(power, N_MEL_FILTERS, n_fft, sr)[:, 1 : N_MFCC + 1]
-
-    values = np.column_stack([zcr, rms, f0, hnr, mfcc])
-    return LldMatrix(values, hop_ms)
+    return np.column_stack([zcr, rms, f0, hnr, mfcc])
 
 
-def delta(llds: LldMatrix) -> LldMatrix:
+def delta(x: np.ndarray) -> np.ndarray:
     """Two-tap regression delta of each contour, edges clamped.
 
     delta[t] = sum_k k * (x[t+k] - x[t-k]) / (2 * sum_k k^2) for k in
     {1, 2}, with out-of-range indices clamped to the first or last frame.
     """
-    x = llds.values
     idx = np.arange(x.shape[0])
     acc = np.zeros_like(x)
     for k in DELTA_WEIGHTS:
         ahead = x[np.clip(idx + k, 0, x.shape[0] - 1)]
         behind = x[np.clip(idx - k, 0, x.shape[0] - 1)]
         acc += k * (ahead - behind)
-    return LldMatrix(acc / DELTA_NORM, llds.frame_shift_ms)
+    return acc / DELTA_NORM
 
 
-def functionals(llds: LldMatrix, deltas: LldMatrix, provenance: str = "") -> FeatureVector:
+def functionals(llds: np.ndarray, deltas: np.ndarray, provenance: str = "") -> FeatureVector:
     """Twelve statistics per contour over descriptors and their deltas.
 
     Statistics follow FUNCTIONAL_NAMES.  Skewness and excess kurtosis are
     0 by convention for constant contours; relative extremum positions are
     first occurrences scaled to [0, 1], and 0 for single-frame input.
     """
-    if llds.n_frames != deltas.n_frames:
+    if llds.shape[0] != deltas.shape[0]:
         raise DimensionMismatchError(
-            f"descriptor and delta frame counts differ: {llds.n_frames} vs {deltas.n_frames}"
+            f"descriptor and delta frame counts differ: {llds.shape[0]} vs {deltas.shape[0]}"
         )
-    if llds.values.shape[1] != len(LLD_COLUMNS) or deltas.values.shape[1] != len(LLD_COLUMNS):
+    if any(m.ndim != 2 or m.shape[1] != len(LLD_COLUMNS) for m in (llds, deltas)):
         raise DimensionMismatchError(f"expected {len(LLD_COLUMNS)} descriptor columns")
     # One contour per C-contiguous row: row reductions then add in the same
     # order as on a single column, so mean and std match it bitwise.
-    x = np.ascontiguousarray(np.hstack([llds.values, deltas.values]).T)
+    x = np.ascontiguousarray(np.hstack([llds, deltas]).T)
     n = x.shape[1]
     rows = np.arange(x.shape[0])
     imin = x.argmin(axis=1)

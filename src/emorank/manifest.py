@@ -34,7 +34,6 @@ class Manifest:
     """Ordered manifest entries with unique utterance ids."""
 
     entries: list
-    path: Path | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,7 +93,7 @@ def parse_manifest(path) -> Manifest:
         if not resolved.is_file():
             raise MissingFileError(f"{path}:{lineno}: wav file not found: {resolved}")
         entries.append(ManifestEntry(utt_id, resolved, speaker, emotion, split))
-    return Manifest(entries, path)
+    return Manifest(entries)
 
 
 def write_manifest(entries, path) -> None:

@@ -112,6 +112,8 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
         raise EmptyClassError("need at least one emotional and one neutral sample")
     if n_similar is not None and n_similar < 0:
         raise InvalidParamsError("n_similar must be >= 0")
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     total = emo.size * neu.size
@@ -151,8 +153,8 @@ def objective(w: np.ndarray, pairs: PairSets, c: float = DEFAULT_C) -> float:
         raise DimensionMismatchError(
             f"w has shape {w.shape}, features have {pairs.features.shape[1]} columns"
         )
-    if c <= 0.0:
-        raise InvalidParamsError("c must be positive")
+    if not 0.0 < c < np.inf:
+        raise InvalidParamsError(f"c must be positive and finite, got {c!r}")
     return _value(w, pairs.features @ w, pairs, c)
 
 
@@ -185,8 +187,8 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
     "line_search").  The report also records the objective after every
     accepted step; the Armijo test keeps it non-increasing.
     """
-    if c <= 0.0:
-        raise InvalidParamsError("c must be positive")
+    if not 0.0 < c < np.inf:
+        raise InvalidParamsError(f"c must be positive and finite, got {c!r}")
     if max_iter < 1:
         raise InvalidParamsError("max_iter must be >= 1")
     x = pairs.features

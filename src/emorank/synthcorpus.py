@@ -91,6 +91,8 @@ def generate_mini_corpus(out_dir, n_pairs: int = DEFAULT_PAIRS,
         raise InvalidParamsError(f"emotion must be a non-neutral member of {EMOTIONS}")
     if n_pairs < 1:
         raise InvalidParamsError("n_pairs must be >= 1")
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

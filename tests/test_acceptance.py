@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from emorank.cli import main
-from emorank.conv_metrics import ddur, dtw_align, mcd, McepSequence
+from emorank.conv_metrics import ddur, dtw_align, mcd
 from emorank.dsp import Waveform
 from emorank.emo_eval import (
     clustering_ratio,
@@ -46,7 +46,7 @@ def _run(argv) -> None:
 
 
 def _mcep(rows):
-    return McepSequence(np.asarray(rows, dtype=np.float64), 10.0)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def test_criterion_1_solver_matches_grid_search():
@@ -188,8 +188,8 @@ def test_criterion_7_features_and_alignment(sine, brute_force_dtw):
         assert np.all(np.isfinite(vector.values))
 
         tone = sine(hz=180.0)
-        quiet = energy_contour(tone).energy
-        loud = energy_contour(Waveform(tone.samples * 2.0, 16000)).energy
+        quiet = energy_contour(tone)
+        loud = energy_contour(Waveform(tone.samples * 2.0, 16000))
         np.testing.assert_allclose(loud, 4.0 * quiet, rtol=1e-9)
 
         for seed in (0, 1, 2):

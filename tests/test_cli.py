@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from emorank.config import Config, load_config, parse_config_file
 from emorank.dsp import save_wav
 from emorank.errors import InvalidParamsError
 
+FLOAT_FIELDS = [f.name for f in fields(Config) if isinstance(f.default, float)]
 TIMESTAMP_RE = re.compile(r'^\s*"generated_at": "[^"]+",?$', re.MULTILINE)
 
 
@@ -73,6 +75,18 @@ class TestConfig:
         path.write_text("ranker_c = -1.0\n")
         with pytest.raises(InvalidParamsError):
             load_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, tmp_path, name, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{name} = {value}\n")
+        with pytest.raises(InvalidParamsError, match=f"{name} must be finite"):
+            load_config(path)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParamsError, match="seed must be >= 0"):
+            load_config(seed=-1)
 
 
 class TestExitCodes:
@@ -141,6 +155,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "bad.csv:2: non-finite feature value" in err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("extract-features", "lld_frame_ms = nan"),
+        ("extract-features", "silence_rms = nan"),
+        ("train-ranker", "ranker_c = inf"),
+        ("train-ranker", None),
+    ], ids=["lld_frame_ms_nan", "silence_rms_nan", "ranker_c_inf", "flag_c_nan"])
+    def test_non_finite_config_is_1(self, cli_corpus, tmp_path, capsys, command, line):
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(cli_corpus["manifest"]), "--out", str(out)]
+        if command == "train-ranker":
+            argv += ["--features", str(cli_corpus["features"]), "--emotion", "happy"]
+        if line is None:
+            argv += ["--c", "nan"]
+        else:
+            (tmp_path / "run.cfg").write_text(line + "\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-ranker", "synth-corpus"])
+    def test_negative_seed_is_1(self, cli_corpus, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "train-ranker":
+            argv = [command, "--features", str(cli_corpus["features"]),
+                    "--manifest", str(cli_corpus["manifest"]), "--emotion", "happy",
+                    "--out", str(out), "--seed", "-1"]
+        else:
+            argv = [command, "--out-dir", str(out), "--pairs", "1", "--seed", "-1"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be >= 0" in err
+        assert not out.exists()
 
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),

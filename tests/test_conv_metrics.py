@@ -6,7 +6,6 @@ import pytest
 from emorank.conv_metrics import (
     DEFAULT_MCEP_BANDS,
     MCD_ALPHA,
-    McepSequence,
     contour_report,
     ddur,
     dtw_align,
@@ -26,21 +25,18 @@ from emorank.features import pitch_contour
 
 
 def _seq(rows):
-    return McepSequence(np.asarray(rows, dtype=np.float64), 10.0)
+    return np.asarray(rows, dtype=np.float64)
 
 
 class TestMcep:
     def test_shape(self, sine):
-        seq = mcep(sine(), order=24)
-        assert seq.coeffs.shape == (98, 25)
-        assert seq.order == 24
-        assert seq.frame_shift_ms == 10.0
+        assert mcep(sine(), order=24).shape == (98, 25)
 
     def test_silence_has_flat_cepstrum(self):
-        seq = mcep(Waveform(np.zeros(8000), 16000), order=12)
+        coeffs = mcep(Waveform(np.zeros(8000), 16000), order=12)
         # log Mel rows are constant at the floor, so c1.. vanish
-        np.testing.assert_allclose(seq.coeffs[:, 1:], 0.0, atol=1e-8)
-        assert np.all(seq.coeffs[:, 0] < 0.0)
+        np.testing.assert_allclose(coeffs[:, 1:], 0.0, atol=1e-8)
+        assert np.all(coeffs[:, 0] < 0.0)
 
     def test_order_bounds(self, sine):
         with pytest.raises(InvalidParamsError):
@@ -199,7 +195,6 @@ class TestContourReport:
         np.testing.assert_array_equal(report.energy_conv[i], report.energy_ref[j])
         rows = _contour_rows(report, tmp_path)
         np.testing.assert_array_equal(rows[:, 5], rows[:, 6])
-        assert report.frame_shift_ms == 10.0
 
     def test_cross_pair_is_positive(self, sine, tmp_path):
         report = contour_report(sine(hz=150.0), sine(hz=300.0, amp=0.2, dur_s=0.8))

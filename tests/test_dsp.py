@@ -9,7 +9,6 @@ from scipy.fft import dct, idct
 
 from emorank.conv_metrics import DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER, mcep
 from emorank.dsp import (
-    FrameSequence,
     Waveform,
     frame,
     hz_to_mel,
@@ -119,19 +118,20 @@ class TestWaveform:
 class TestFrame:
     def test_count_small_example(self):
         w = Waveform(np.arange(100, dtype=float), 16000)
-        fs = frame(w, 40, 20)
-        assert fs.n_frames == 4
-        np.testing.assert_array_equal(fs.frames[1], np.arange(20, 60))
+        frames = frame(w, 40, 20)
+        assert frames.shape == (4, 40)
+        assert frames.dtype == np.float64 and frames.flags.c_contiguous
+        np.testing.assert_array_equal(frames[1], np.arange(20, 60))
 
     def test_count_one_second(self):
         w = Waveform(np.zeros(16000), 16000)
-        assert frame(w, 800, 200).n_frames == 77
+        assert frame(w, 800, 200).shape == (77, 800)
 
     def test_short_input_zero_padded(self):
         w = Waveform(np.array([1.0, 2.0]), 16000)
-        fs = frame(w, 5, 2)
-        assert fs.n_frames == 1
-        np.testing.assert_array_equal(fs.frames[0], [1.0, 2.0, 0.0, 0.0, 0.0])
+        frames = frame(w, 5, 2)
+        assert frames.shape == (1, 5)
+        np.testing.assert_array_equal(frames[0], [1.0, 2.0, 0.0, 0.0, 0.0])
 
     def test_count_formula_random(self):
         rng = np.random.default_rng(0)
@@ -140,20 +140,21 @@ class TestFrame:
             flen = int(rng.integers(1, 80))
             hop = int(rng.integers(1, 40))
             x = rng.normal(size=n)
-            fs = frame(Waveform(x, 8000), flen, hop)
+            frames = frame(Waveform(x, 8000), flen, hop)
+            assert frames.shape[1] == flen
             if n < flen:
-                assert fs.n_frames == 1
+                assert frames.shape[0] == 1
             else:
-                assert fs.n_frames == (n - flen) // hop + 1
-                i = fs.n_frames - 1
-                np.testing.assert_array_equal(fs.frames[i], x[i * hop : i * hop + flen])
+                assert frames.shape[0] == (n - flen) // hop + 1
+                i = frames.shape[0] - 1
+                np.testing.assert_array_equal(frames[i], x[i * hop : i * hop + flen])
 
     def test_frames_match_slices(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=333)
-        fs = frame(Waveform(x, 8000), 50, 17)
-        for i in range(fs.n_frames):
-            np.testing.assert_array_equal(fs.frames[i], x[i * 17 : i * 17 + 50])
+        frames = frame(Waveform(x, 8000), 50, 17)
+        for i in range(frames.shape[0]):
+            np.testing.assert_array_equal(frames[i], x[i * 17 : i * 17 + 50])
 
     def test_invalid_params(self):
         w = Waveform(np.zeros(10), 8000)
@@ -165,8 +166,8 @@ class TestFrame:
 
 class TestPowerSpectrogram:
     def test_silence_is_zero(self):
-        fs = FrameSequence(np.zeros((3, 64)), 64, 32)
-        np.testing.assert_array_equal(power_spectrogram(fs, 64), np.zeros((3, 33)))
+        np.testing.assert_array_equal(power_spectrogram(np.zeros((3, 64)), 64),
+                                      np.zeros((3, 33)))
 
     def test_energy_identity(self):
         # Row sum equals n_fft times the mean square of the zero-padded
@@ -174,7 +175,7 @@ class TestPowerSpectrogram:
         rng = np.random.default_rng(2)
         frames = rng.normal(0.0, 0.3, (6, 100))
         n_fft = 128
-        power = power_spectrogram(FrameSequence(frames, 100, 50), n_fft)
+        power = power_spectrogram(frames, n_fft)
         windowed = frames * np.hanning(100)
         padded = np.zeros((6, n_fft))
         padded[:, :100] = windowed
@@ -185,13 +186,12 @@ class TestPowerSpectrogram:
         n = 512
         k0 = 128
         x = np.sin(2 * np.pi * k0 * np.arange(n) / n)
-        power = power_spectrogram(FrameSequence(x[None, :], n, n), n)[0]
+        power = power_spectrogram(x[None, :], n)[0]
         assert power[k0 - 1 : k0 + 2].sum() >= 0.95 * power.sum()
 
     def test_nfft_too_small(self):
-        fs = FrameSequence(np.zeros((1, 64)), 64, 32)
         with pytest.raises(InvalidParamsError):
-            power_spectrogram(fs, 32)
+            power_spectrogram(np.zeros((1, 64)), 32)
 
 
 class TestMelScale:
@@ -211,16 +211,23 @@ class TestMelScale:
 class TestMelFilterbank:
     def test_shape_and_bounds(self):
         bank = mel_filterbank(26, 512, 16000)
-        assert bank.weights.shape == (26, 257)
-        assert np.all(bank.weights >= 0.0)
-        assert bank.weights.max() <= 1.0 + 1e-12
-        assert np.all(bank.weights.max(axis=1) > 0.0)
+        assert bank.shape == (26, 257)
+        assert np.all(bank >= 0.0)
+        assert bank.max() <= 1.0 + 1e-12
+        assert np.all(bank.max(axis=1) > 0.0)
 
     def test_centers_increase(self):
-        bank = mel_filterbank(40, 1024, 16000)
-        assert np.all(np.diff(bank.centers_hz) > 0)
-        assert bank.centers_hz[0] > 0.0
-        assert bank.centers_hz[-1] < 8000.0
+        peaks = mel_filterbank(40, 1024, 16000).argmax(axis=1)
+        assert np.all(np.diff(peaks) > 0)
+        assert peaks[0] > 0
+        assert peaks[-1] < 1024 // 2
+
+    def test_cached_and_read_only(self):
+        # Every caller shares the cached bank, so a write must not get through.
+        bank = mel_filterbank(26, 512, 16000)
+        assert mel_filterbank(26, 512, 16000) is bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0
 
     def test_invalid_range(self):
         with pytest.raises(InvalidParamsError):
@@ -229,7 +236,7 @@ class TestMelFilterbank:
 
 def _log_mel(waveform):
     """Log Mel band energies behind mcep, recovered by inverting its full-order DCT."""
-    coeffs = mcep(waveform, order=DEFAULT_MCEP_BANDS - 1).coeffs
+    coeffs = mcep(waveform, order=DEFAULT_MCEP_BANDS - 1)
     return idct(coeffs, type=2, norm="ortho", axis=1)
 
 
@@ -255,8 +262,8 @@ class TestMelLogSpectrogram:
         hop = 160
         a = mcep(Waveform(x, 16000))
         b = mcep(Waveform(np.concatenate([np.zeros(hop), x]), 16000))
-        assert b.n_frames == a.n_frames + 1
-        np.testing.assert_array_equal(b.coeffs[1:], a.coeffs)
+        assert b.shape[0] == a.shape[0] + 1
+        np.testing.assert_array_equal(b[1:], a)
 
 
 def _mel_outputs_inline(waveform, n_bands, frame_ms=25.0, hop_ms=10.0):
@@ -303,20 +310,20 @@ class TestMelHelpersMatchInlineFormula:
 
     def test_mfcc_columns(self, name):
         waveform = _oracle_waveforms()[name]
-        mfcc = compute_llds(waveform).values[:, 4 : 4 + N_MFCC]
+        mfcc = compute_llds(waveform)[:, 4 : 4 + N_MFCC]
         expected = _cepstrum_inline(waveform, N_MEL_FILTERS)[:, 1 : N_MFCC + 1]
         np.testing.assert_array_equal(mfcc, expected)
 
     def test_mcep(self, name):
         waveform = _oracle_waveforms()[name]
-        coeffs = mcep(waveform).coeffs
+        coeffs = mcep(waveform)
         expected = _cepstrum_inline(waveform, DEFAULT_MCEP_BANDS)[:, : DEFAULT_MCEP_ORDER + 1]
         np.testing.assert_array_equal(coeffs, expected)
 
     def test_energy_contour(self, name):
         waveform = _oracle_waveforms()[name]
         expected = _mel_outputs_inline(waveform, N_MEL_FILTERS).sum(axis=1)
-        np.testing.assert_array_equal(energy_contour(waveform).energy, expected)
+        np.testing.assert_array_equal(energy_contour(waveform), expected)
 
 
 def test_next_pow2():

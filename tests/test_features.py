@@ -12,7 +12,6 @@ from emorank.features import (
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
     FeatureVector,
-    LldMatrix,
     N_FEATURES,
     _climb_to_peak,
     compute_llds,
@@ -215,48 +214,43 @@ class TestPitch:
 class TestLlds:
     def test_shape_and_columns(self, sine):
         llds = compute_llds(sine())
-        assert llds.values.shape == (98, len(LLD_COLUMNS))
-        assert llds.frame_shift_ms == 10.0
-        assert np.all(np.isfinite(llds.values))
+        assert llds.shape == (98, len(LLD_COLUMNS))
+        assert np.all(np.isfinite(llds))
 
     def test_silence_row_values(self):
         llds = compute_llds(Waveform(np.zeros(8000), 16000))
-        assert np.all(llds.values[:, 0] == 0.0)  # zcr
-        assert np.all(llds.values[:, 1] == 0.0)  # rms
-        assert np.all(llds.values[:, 2] == 0.0)  # f0
-        assert np.all(llds.values[:, 3] == -60.0)  # hnr
-        np.testing.assert_allclose(llds.values[:, 4:], 0.0, atol=1e-9)  # mfcc
+        assert np.all(llds[:, 0] == 0.0)  # zcr
+        assert np.all(llds[:, 1] == 0.0)  # rms
+        assert np.all(llds[:, 2] == 0.0)  # f0
+        assert np.all(llds[:, 3] == -60.0)  # hnr
+        np.testing.assert_allclose(llds[:, 4:], 0.0, atol=1e-9)  # mfcc
 
     def test_hnr_high_for_pure_tone(self, sine):
         llds = compute_llds(sine(amp=0.6))
-        interior = llds.values[10:-10, 3]
+        interior = llds[10:-10, 3]
         assert np.all(interior > 20.0)
         assert np.all(interior <= 60.0)
 
 
 class TestDelta:
     def test_constant_is_zero(self):
-        llds = LldMatrix(np.full((7, 3), 2.5), 10.0)
-        np.testing.assert_array_equal(delta(llds).values, 0.0)
+        np.testing.assert_array_equal(delta(np.full((7, 3), 2.5)), 0.0)
 
     def test_ramp_interior_is_one(self):
         ramp = np.arange(10.0)[:, None] * np.ones((1, 2))
-        d = delta(LldMatrix(ramp, 10.0)).values
+        d = delta(ramp)
         np.testing.assert_allclose(d[2:-2], 1.0)
         np.testing.assert_allclose(d[0], 0.5)  # clamped edge
 
     def test_single_frame_is_zero(self):
-        d = delta(LldMatrix(np.array([[3.0, -1.0]]), 10.0))
-        np.testing.assert_array_equal(d.values, 0.0)
+        np.testing.assert_array_equal(delta(np.array([[3.0, -1.0]])), 0.0)
 
 
 class TestFunctionals:
     def _vector_for(self, col):
         values = np.zeros((len(col), len(LLD_COLUMNS)))
         values[:, 0] = col
-        llds = LldMatrix(values, 10.0)
-        zero = LldMatrix(np.zeros_like(values), 10.0)
-        return functionals(llds, zero).values[:F]
+        return functionals(values, np.zeros_like(values)).values[:F]
 
     def test_ramp_column(self):
         stats = self._vector_for(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -305,8 +299,7 @@ class TestFunctionals:
     @settings(max_examples=200, deadline=None)
     @given(_contour_matrices())
     def test_matches_column_loop(self, x):
-        llds = LldMatrix(x[:, : len(LLD_COLUMNS)], 10.0)
-        deltas = LldMatrix(x[:, len(LLD_COLUMNS) :], 10.0)
+        llds, deltas = x[:, : len(LLD_COLUMNS)], x[:, len(LLD_COLUMNS) :]
         got = functionals(llds, deltas).values.reshape(N_CONTOURS, F)
         ref = np.array([_column_functionals(x[:, c]) for c in range(N_CONTOURS)])
         np.testing.assert_allclose(got, ref, rtol=FUNCTIONALS_RTOL, atol=FUNCTIONALS_ATOL)
@@ -339,10 +332,15 @@ class TestFunctionals:
             assert scaled[_col(name)] == base[_col(name)]
 
     def test_frame_count_mismatch(self):
-        a = LldMatrix(np.zeros((4, len(LLD_COLUMNS))), 10.0)
-        b = LldMatrix(np.zeros((5, len(LLD_COLUMNS))), 10.0)
+        a = np.zeros((4, len(LLD_COLUMNS)))
+        b = np.zeros((5, len(LLD_COLUMNS)))
         with pytest.raises(DimensionMismatchError):
             functionals(a, b)
+
+    @pytest.mark.parametrize("shape", [(4, len(LLD_COLUMNS) - 1), (4,)])
+    def test_column_count_mismatch(self, shape):
+        with pytest.raises(DimensionMismatchError, match="descriptor columns"):
+            functionals(np.zeros(shape), np.zeros((4, len(LLD_COLUMNS))))
 
 
 class TestFeatureVector:
@@ -416,17 +414,18 @@ class TestFeatureVector:
             read_features_csv(path)
 
 
-class TestEnergyContour:
+class TestFrameEnergy:
     def test_silence_is_zero(self):
         contour = energy_contour(Waveform(np.zeros(8000), 16000))
-        np.testing.assert_array_equal(contour.energy, 0.0)
+        assert contour.shape == (48,)
+        np.testing.assert_array_equal(contour, 0.0)
 
     def test_amplitude_doubling_quadruples(self, sine):
         a = energy_contour(sine(amp=0.25))
         b = energy_contour(sine(amp=0.5))
-        np.testing.assert_allclose(b.energy, 4.0 * a.energy, rtol=1e-9)
+        np.testing.assert_allclose(b, 4.0 * a, rtol=1e-9)
 
     def test_non_negative(self):
         rng = np.random.default_rng(6)
         contour = energy_contour(Waveform(rng.normal(0, 0.2, 8000), 16000))
-        assert np.all(contour.energy >= 0.0)
+        assert np.all(contour >= 0.0)

@@ -194,3 +194,8 @@ class TestMiniCorpus:
             generate_mini_corpus(tmp_path, n_pairs=0)
         with pytest.raises(InvalidParamsError):
             generate_mini_corpus(tmp_path, emotion="bored")
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(InvalidParamsError, match="seed must be >= 0"):
+            generate_mini_corpus(tmp_path / "out", seed=-1)
+        assert not (tmp_path / "out").exists()

@@ -108,6 +108,10 @@ class TestBuildPairs:
         with pytest.raises(InvalidParamsError):
             build_pairs(np.zeros((2, 1)), ["neutral", "angry"])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParamsError, match="seed must be >= 0"):
+            build_pairs(np.zeros((2, 1)), ["emotional", "neutral"], seed=-1)
+
     def test_singleton_class_gets_no_similar_pairs(self):
         labels = ["emotional", "neutral", "neutral"]
         pairs = build_pairs(np.zeros((3, 1)), labels, n_similar=4, seed=0)
@@ -129,6 +133,11 @@ class TestObjective:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             objective(np.zeros(2), _toy_pairs(), c=1.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0])
+    def test_bad_c_rejected(self, c):
+        with pytest.raises(InvalidParamsError, match="positive and finite"):
+            objective(np.zeros(1), _toy_pairs(), c=c)
 
 
 class TestTrainRanker:
@@ -304,6 +313,11 @@ class TestTrainRanker:
     def test_bad_c_rejected(self):
         with pytest.raises(InvalidParamsError):
             train_ranker(_toy_pairs(), c=0.0)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(InvalidParamsError, match="positive and finite"):
+            train_ranker(_toy_pairs(), c=c)
 
 
 class TestScore:
