@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .conv_metrics import DDUR_MODES
+from .conv_metrics import DDUR_MODES, DEFAULT_MCEP_BANDS
 from .errors import InvalidParamsError
 
 
@@ -49,8 +49,9 @@ class Config:
             raise InvalidParamsError("voicing_threshold must be in [0, 1]")
         if self.silence_rms < 0.0:
             raise InvalidParamsError("silence_rms must be >= 0")
-        if self.mcep_order < 1:
-            raise InvalidParamsError("mcep_order must be >= 1")
+        if not 1 <= self.mcep_order < DEFAULT_MCEP_BANDS:
+            raise InvalidParamsError(
+                f"mcep_order must be in [1, {DEFAULT_MCEP_BANDS - 1}], got {self.mcep_order}")
         if self.n_similar < 0 or self.jobs < 0 or self.seed < 0:
             raise InvalidParamsError("n_similar, jobs and seed must be >= 0")
         if self.ddur_mode not in DDUR_MODES:

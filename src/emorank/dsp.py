@@ -163,9 +163,43 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     return weights
 
 
+@functools.lru_cache(maxsize=32)
+def _mel_support(n_mels: int, n_fft: int, sample_rate: int):
+    """Nonzero weights of mel_filterbank, filter by filter, and its column sums.
+
+    Returns (columns, weights, starts, column_sums): filter m's nonzero
+    weights are weights[starts[m]:starts[m + 1]] on bins columns[...] of
+    the same slice.  Each triangle covers one contiguous bin range and each
+    bin lies in at most two filters, so there are at most 2 * (n_fft // 2 + 1)
+    weights.  The arrays are cached and shared, so they are read-only.
+    """
+    bank = mel_filterbank(n_mels, n_fft, sample_rate)
+    filters, columns = np.nonzero(bank)
+    starts = np.searchsorted(filters, np.arange(n_mels))
+    # mel_filterbank rejects empty filters, so no segment is empty; reduceat
+    # would return a segment's first element instead of 0 for one.
+    assert np.all(np.diff(starts) > 0) and starts[-1] < columns.size
+    support = (columns, bank[filters, columns], starts, bank.sum(axis=0))
+    for array in support:
+        array.flags.writeable = False
+    return support
+
+
 def mel_energies(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Outputs of the n_mels-filter Mel bank on each row of an n_fft power spectrogram."""
-    return power @ mel_filterbank(n_mels, n_fft, sample_rate).T
+    """Outputs of the n_mels-filter Mel bank on each row of an n_fft power spectrogram.
+
+    Sums each filter's nonzero bins only, with no BLAS call: a matrix
+    product here would wake BLAS threads inside the CLI's worker threads.
+    """
+    columns, weights, starts, _ = _mel_support(n_mels, n_fft, sample_rate)
+    gathered = power[:, columns]
+    gathered *= weights
+    return np.add.reduceat(gathered, starts, axis=1)
+
+
+def mel_energy_totals(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """Row sums of mel_energies, from the bank's column sums in one row reduction."""
+    return np.einsum("ij,j->i", power, _mel_support(n_mels, n_fft, sample_rate)[3])
 
 
 def mel_cepstrum(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:

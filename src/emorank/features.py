@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, frame, mel_cepstrum, mel_energies, next_pow2, power_spectrogram
+from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, next_pow2, power_spectrogram
 from .errors import DimensionMismatchError, InvalidParamsError, ParseError
 from .kernels import autocorr_matrix
 
@@ -157,7 +157,7 @@ def energy_contour(waveform: Waveform,
     frames = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
     n_fft = next_pow2(frames.shape[1])
     power = power_spectrogram(frames, n_fft)
-    return mel_energies(power, N_MEL_FILTERS, n_fft, sr).sum(axis=1)
+    return mel_energy_totals(power, N_MEL_FILTERS, n_fft, sr)
 
 
 def compute_llds(waveform: Waveform,
@@ -239,7 +239,9 @@ def functionals(llds: np.ndarray, deltas: np.ndarray, provenance: str = "") -> F
     kurt = np.mean(z2 * z2, axis=1) - 3.0
     t = np.arange(n, dtype=np.float64)
     t_centered = t - t.mean()
-    slope = dev @ t_centered / (t_centered @ t_centered if n > 1 else 1.0)
+    # einsum, not a matrix product: no BLAS call inside the CLI's worker threads.
+    slope = np.einsum("ij,j->i", dev, t_centered)
+    slope /= np.einsum("i,i->", t_centered, t_centered) if n > 1 else 1.0
     slope[constant] = 0.0
     offset = mean - slope * t.mean()
     resid = x - (offset[:, None] + slope[:, None] * t)
@@ -310,14 +312,29 @@ def read_features_csv(path) -> list:
         lines = handle.read().splitlines()
     if not lines or lines[0].split(",") != expected:
         raise ParseError(f"{path}: bad feature CSV header")
+    rows = [(lineno, line.split(",")) for lineno, line in enumerate(lines[1:], start=2) if line]
+    if not rows:
+        return []
+    # One parse for the whole file; any bad row sends it back through the
+    # per-line checks, which name the first bad line.
+    try:
+        values = np.array([parts[1:] for _, parts in rows], dtype=np.float64)
+    except ValueError:
+        return _read_rows_checked(path, rows)
+    ids = [parts[0] for _, parts in rows]
+    if (values.shape != (len(rows), N_FEATURES) or len(set(ids)) != len(ids)
+            or not np.all(np.isfinite(values))):
+        return _read_rows_checked(path, rows)
+    return [FeatureVector(row, ident) for ident, row in zip(ids, values)]
+
+
+def _read_rows_checked(path, rows) -> list:
+    """read_features_csv row by row, raising ParseError at the first bad line."""
     vectors = []
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(expected):
-            raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(parts)}")
+    for lineno, parts in rows:
+        if len(parts) != N_FEATURES + 1:
+            raise ParseError(f"{path}:{lineno}: expected {N_FEATURES + 1} fields, got {len(parts)}")
         if parts[0] in seen:
             raise ParseError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
         seen.add(parts[0])

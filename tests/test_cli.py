@@ -9,6 +9,7 @@ import pytest
 
 from emorank.cli import main
 from emorank.config import Config, load_config, parse_config_file
+from emorank.conv_metrics import DEFAULT_MCEP_BANDS
 from emorank.dsp import save_wav
 from emorank.errors import InvalidParamsError
 
@@ -87,6 +88,15 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidParamsError, match="seed must be >= 0"):
             load_config(seed=-1)
+
+    @pytest.mark.parametrize("order", [0, -1, DEFAULT_MCEP_BANDS, 100])
+    def test_mcep_order_out_of_range_rejected(self, order):
+        with pytest.raises(InvalidParamsError, match=r"mcep_order must be in \[1, 39\]"):
+            load_config(mcep_order=order)
+
+    @pytest.mark.parametrize("order", [1, DEFAULT_MCEP_BANDS - 1])
+    def test_mcep_order_range_ends_accepted(self, order):
+        assert load_config(mcep_order=order).mcep_order == order
 
 
 class TestExitCodes:
@@ -191,6 +201,27 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "seed must be >= 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval-conversion", "contours"])
+    def test_mcep_order_out_of_range_is_1(self, cli_corpus, tmp_path, capsys, monkeypatch,
+                                          command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("contour_report ran before the order was checked")
+
+        monkeypatch.setattr("emorank.cli.contour_report", no_work)
+        conv, ref = cli_corpus["corpus"] / "happy000.wav", cli_corpus["corpus"] / "neu000.wav"
+        out = tmp_path / "out"
+        if command == "eval-conversion":
+            pairs = tmp_path / "pairs.tsv"
+            pairs.write_text(f"converted_wav\treference_wav\n{conv}\t{ref}\n")
+            argv = [command, "--pairs", str(pairs)]
+        else:
+            argv = [command, "--converted", str(conv), "--reference", str(ref)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out), "--mcep-order", str(DEFAULT_MCEP_BANDS)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "mcep_order must be in [1, 39]" in err
         assert not out.exists()
 
     def test_io_error_is_2(self, tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Waveform I/O, framing, and spectral analysis."""
 
+import functools
 import struct
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.fft import dct, idct
 
 from emorank.conv_metrics import DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER, mcep
@@ -13,6 +17,8 @@ from emorank.dsp import (
     frame,
     hz_to_mel,
     load_wav,
+    mel_energies,
+    mel_energy_totals,
     mel_filterbank,
     mel_to_hz,
     next_pow2,
@@ -26,6 +32,10 @@ from emorank.errors import (
     UnsupportedFormatError,
 )
 from emorank.features import N_MEL_FILTERS, N_MFCC, compute_llds, energy_contour
+
+# Output bound of the sparse Mel application against the dense product.
+MEL_RTOL = 1e-12
+CEPSTRUM_ATOL = 1e-12
 
 
 def _write_pcm(path, values, sr=16000, channels=1, sampwidth=2):
@@ -306,24 +316,83 @@ def _oracle_waveforms():
 
 @pytest.mark.parametrize("name", sorted(_oracle_waveforms()))
 class TestMelHelpersMatchInlineFormula:
-    """The shared dsp Mel helpers are bitwise equal to the per-caller code they replaced."""
+    """The shared dsp Mel helpers match the dense per-caller code they replaced.
+
+    The helpers add only each filter's nonzero terms, in another order than
+    the dense product, so the results agree to the last digits: within
+    MEL_RTOL relative for Mel energies and their row sums, and within
+    CEPSTRUM_ATOL absolute for cepstra, whose coefficients can sit near 0.
+    """
 
     def test_mfcc_columns(self, name):
         waveform = _oracle_waveforms()[name]
         mfcc = compute_llds(waveform)[:, 4 : 4 + N_MFCC]
         expected = _cepstrum_inline(waveform, N_MEL_FILTERS)[:, 1 : N_MFCC + 1]
-        np.testing.assert_array_equal(mfcc, expected)
+        np.testing.assert_allclose(mfcc, expected, rtol=0.0, atol=CEPSTRUM_ATOL)
 
     def test_mcep(self, name):
         waveform = _oracle_waveforms()[name]
         coeffs = mcep(waveform)
         expected = _cepstrum_inline(waveform, DEFAULT_MCEP_BANDS)[:, : DEFAULT_MCEP_ORDER + 1]
-        np.testing.assert_array_equal(coeffs, expected)
+        np.testing.assert_allclose(coeffs, expected, rtol=0.0, atol=CEPSTRUM_ATOL)
 
     def test_energy_contour(self, name):
         waveform = _oracle_waveforms()[name]
         expected = _mel_outputs_inline(waveform, N_MEL_FILTERS).sum(axis=1)
-        np.testing.assert_array_equal(energy_contour(waveform), expected)
+        np.testing.assert_allclose(energy_contour(waveform), expected, rtol=MEL_RTOL, atol=0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _smallest_n_fft(n_mels, sample_rate):
+    """The smallest n_fft for which mel_filterbank gives no empty filter."""
+    n_fft = 2
+    while True:
+        try:
+            mel_filterbank(n_mels, n_fft, sample_rate)
+            return n_fft
+        except InvalidParamsError:
+            n_fft += 1
+
+
+@st.composite
+def _mel_cases(draw):
+    """(n_mels, n_fft, sample_rate, power) with zero, tiny and large power rows."""
+    n_mels = draw(st.sampled_from([1, 2, 3, 13, 26, 40]))
+    sample_rate = draw(st.sampled_from([8000, 16000, 22050, 44100]))
+    smallest = _smallest_n_fft(n_mels, sample_rate)
+    n_fft = draw(st.one_of(st.just(smallest), st.integers(smallest, max(smallest, 2048))))
+    rows = draw(st.integers(1, 6))
+    unit = draw(arrays(np.float64, (rows, n_fft // 2 + 1),
+                       elements=st.one_of(st.just(0.0), st.floats(1e-3, 1.0))))
+    scale = draw(arrays(np.float64, rows, elements=st.sampled_from([0.0, 1e-30, 1.0, 1e6])))
+    return n_mels, n_fft, sample_rate, unit * scale[:, None]
+
+
+class TestSparseMelApplication:
+    """mel_energies and mel_energy_totals against the dense filterbank product."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mel_cases())
+    def test_matches_dense_product(self, case):
+        n_mels, n_fft, sample_rate, power = case
+        dense = power @ mel_filterbank(n_mels, n_fft, sample_rate).T
+        for got, expected in ((mel_energies(power, n_mels, n_fft, sample_rate), dense),
+                              (mel_energy_totals(power, n_mels, n_fft, sample_rate),
+                               dense.sum(axis=1))):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            np.testing.assert_allclose(got, expected, rtol=MEL_RTOL, atol=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([8000, 16000, 22050]), st.integers(20, 50),
+           st.integers(1, 4000), st.sampled_from([0.0, 1e-15, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+    def test_energy_contour_matches_dense_row_sum(self, sample_rate, frame_ms, n_samples,
+                                                   scale, seed):
+        samples = scale * np.random.default_rng(seed).normal(size=n_samples)
+        waveform = Waveform(samples, sample_rate)
+        energy = energy_contour(waveform, frame_ms=frame_ms)
+        dense = _mel_outputs_inline(waveform, N_MEL_FILTERS, frame_ms=frame_ms)
+        assert energy.dtype == np.float64 and energy.flags.c_contiguous
+        np.testing.assert_allclose(energy, dense.sum(axis=1), rtol=MEL_RTOL, atol=0.0)
 
 
 def test_next_pow2():

@@ -413,6 +413,21 @@ class TestFeatureVector:
         with pytest.raises(ParseError, match=r"f\.csv:3: non-finite feature value"):
             read_features_csv(path)
 
+    def test_csv_first_bad_line_reported(self, tmp_path):
+        # Faults of every kind on later lines: the error names line 3.
+        path = tmp_path / "f.csv"
+        write_features_csv([FeatureVector(np.full(N_FEATURES, float(i)), f"u{i}")
+                            for i in range(5)], path)
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        rows[1][7] = "x"
+        rows[2][7] = "nan"
+        rows[3] = rows[3][:-1]
+        rows[4][0] = "u0"
+        path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        with pytest.raises(ParseError, match=r"f\.csv:3: non-numeric feature value"):
+            read_features_csv(path)
+
 
 class TestFrameEnergy:
     def test_silence_is_zero(self):
