@@ -136,12 +136,11 @@ def mel_to_hz(mel):
     return 700.0 * (np.power(10.0, np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=32)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular Mel filter weights with unit peak, (n_mels, n_fft // 2 + 1).
 
-    The filters span 0 Hz to sample_rate / 2.  Results are cached per
-    argument tuple and shared between callers, so the array is read-only.
+    The filters span 0 Hz to sample_rate / 2.  The analysis applies the bank
+    through _mel_support, which caches its nonzero entries.
     """
     if n_mels < 1:
         raise InvalidParamsError("n_mels must be >= 1")
@@ -159,7 +158,6 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
         raise InvalidParamsError(
             f"n_fft={n_fft} gives empty Mel filters; raise n_fft or lower n_mels"
         )
-    weights.flags.writeable = False
     return weights
 
 

@@ -312,29 +312,14 @@ def read_features_csv(path) -> list:
         lines = handle.read().splitlines()
     if not lines or lines[0].split(",") != expected:
         raise ParseError(f"{path}: bad feature CSV header")
-    rows = [(lineno, line.split(",")) for lineno, line in enumerate(lines[1:], start=2) if line]
-    if not rows:
-        return []
-    # One parse for the whole file; any bad row sends it back through the
-    # per-line checks, which name the first bad line.
-    try:
-        values = np.array([parts[1:] for _, parts in rows], dtype=np.float64)
-    except ValueError:
-        return _read_rows_checked(path, rows)
-    ids = [parts[0] for _, parts in rows]
-    if (values.shape != (len(rows), N_FEATURES) or len(set(ids)) != len(ids)
-            or not np.all(np.isfinite(values))):
-        return _read_rows_checked(path, rows)
-    return [FeatureVector(row, ident) for ident, row in zip(ids, values)]
-
-
-def _read_rows_checked(path, rows) -> list:
-    """read_features_csv row by row, raising ParseError at the first bad line."""
     vectors = []
     seen = set()
-    for lineno, parts in rows:
-        if len(parts) != N_FEATURES + 1:
-            raise ParseError(f"{path}:{lineno}: expected {N_FEATURES + 1} fields, got {len(parts)}")
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(expected):
+            raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(parts)}")
         if parts[0] in seen:
             raise ParseError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
         seen.add(parts[0])

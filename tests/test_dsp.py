@@ -14,6 +14,7 @@ from scipy.fft import dct, idct
 from emorank.conv_metrics import DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER, mcep
 from emorank.dsp import (
     Waveform,
+    _mel_support,
     frame,
     hz_to_mel,
     load_wav,
@@ -233,11 +234,12 @@ class TestMelFilterbank:
         assert peaks[-1] < 1024 // 2
 
     def test_cached_and_read_only(self):
-        # Every caller shares the cached bank, so a write must not get through.
-        bank = mel_filterbank(26, 512, 16000)
-        assert mel_filterbank(26, 512, 16000) is bank
-        with pytest.raises(ValueError):
-            bank[0, 0] = 1.0
+        # Every caller shares the cached support, so a write must not get through.
+        support = _mel_support(26, 512, 16000)
+        assert _mel_support(26, 512, 16000) is support
+        for array in support:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     def test_invalid_range(self):
         with pytest.raises(InvalidParamsError):
