@@ -23,7 +23,7 @@ from .config import Config, load_config
 from .conv_metrics import contour_report, write_contour_csv
 from .dsp import load_wav
 from .emo_eval import clustering_ratio, read_embeddings_csv
-from .errors import EmorankError, EmptyInputError, InvalidParamsError, MissingFileError, ParseError
+from .errors import EmorankError, EmptyInputError, InvalidParamsError
 from .features import (
     N_FEATURES,
     extract_feature_vector,
@@ -34,6 +34,7 @@ from .features import (
 from .manifest import EMOTIONS, parse_manifest, scan_tree, write_manifest
 from .ranker import build_pairs, load_model, save_model, score, train_ranker
 from .synthcorpus import DEFAULT_EMOTION, DEFAULT_PAIRS, DEFAULT_SEED, generate_mini_corpus
+from .tables import read_table, resolve_wav
 
 PAIRS_TSV_COLUMNS = ("converted_wav", "reference_wav")
 
@@ -81,15 +82,15 @@ def _cmd_extract_features(args) -> int:
         return 0
     if not args.manifest or not args.out:
         raise InvalidParamsError("--manifest and --out are required to extract features")
-    manifest = parse_manifest(args.manifest)
+    entries = parse_manifest(args.manifest)
 
     def work(entry):
-        return extract_feature_vector(load_wav(entry.wav_path), entry.utt_id,
-                                      **config.lld_kwargs())
+        return extract_feature_vector(load_wav(entry.wav_path), **config.lld_kwargs())
 
-    vectors = _pool_map(work, list(manifest), config.jobs)
+    vectors = _pool_map(work, entries, config.jobs)
     out = _resolve_out(config, args.out)
-    write_features_csv(vectors, out)
+    write_features_csv([e.utt_id for e in entries],
+                       np.reshape(vectors, (len(vectors), N_FEATURES)), out)
     print(f"wrote {len(vectors)} feature rows to {out}")
     return 0
 
@@ -101,18 +102,19 @@ def _cmd_train_ranker(args) -> int:
         raise InvalidParamsError(
             f"--emotion must be a non-neutral member of {EMOTIONS}, got {args.emotion!r}"
         )
-    manifest = parse_manifest(args.manifest)
-    rows = manifest.select(split="train", emotions=("neutral", args.emotion))
+    rows = [e for e in parse_manifest(args.manifest)
+            if e.split == "train" and e.emotion in ("neutral", args.emotion)]
     if not rows:
         raise InvalidParamsError("manifest has no train-split rows for this emotion")
-    by_id = {v.provenance: v for v in read_features_csv(args.features)}
-    missing = [e.utt_id for e in rows if e.utt_id not in by_id]
+    ids, matrix = read_features_csv(args.features)
+    row_of = {ident: i for i, ident in enumerate(ids)}
+    missing = [e.utt_id for e in rows if e.utt_id not in row_of]
     if missing:
         raise InvalidParamsError(
             f"{len(missing)} train utterances missing from features CSV, "
             f"first: {missing[0]!r}"
         )
-    features = np.stack([by_id[e.utt_id].values for e in rows])
+    features = matrix[[row_of[e.utt_id] for e in rows]]
     labels = ["neutral" if e.emotion == "neutral" else "emotional" for e in rows]
     pairs = build_pairs(features, labels,
                         n_similar=config.n_similar or None, seed=config.seed)
@@ -130,13 +132,15 @@ def _cmd_train_ranker(args) -> int:
 def _cmd_score_intensity(args) -> int:
     config = load_config(args.config)
     model = load_model(args.model)
-    vectors = read_features_csv(args.features)
+    ids, matrix = read_features_csv(args.features)
+    # Score every row before opening --out, so a failure leaves no file.
+    scores = [score(model, row) for row in matrix]
     out = _resolve_out(config, args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("utt_id,intensity\n")
-        for vec in vectors:
-            handle.write(f"{vec.provenance},{repr(score(model, vec.values))}\n")
-    print(f"wrote {len(vectors)} intensity scores to {out}")
+        for ident, value in zip(ids, scores):
+            handle.write(f"{ident},{value!r}\n")
+    print(f"wrote {len(ids)} intensity scores to {out}")
     return 0
 
 
@@ -159,26 +163,8 @@ def _cmd_eval_clustering(args) -> int:
 
 
 def _read_pairs_tsv(path) -> list:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or tuple(lines[0].split("\t")) != PAIRS_TSV_COLUMNS:
-        raise ParseError(f"{path}:1: header must be {chr(9).join(PAIRS_TSV_COLUMNS)!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-        resolved = []
-        for name in fields:
-            candidate = Path(name)
-            if not candidate.is_absolute():
-                candidate = path.parent / candidate
-            if not candidate.is_file():
-                raise MissingFileError(f"{path}:{lineno}: wav file not found: {candidate}")
-            resolved.append(candidate)
-        rows.append((fields[0], fields[1], resolved[0], resolved[1]))
+    rows = [(conv, ref, resolve_wav(path, lineno, conv), resolve_wav(path, lineno, ref))
+            for lineno, (conv, ref) in read_table(path, "\t", PAIRS_TSV_COLUMNS)]
     if not rows:
         raise EmptyInputError(f"{path}: no conversion pairs listed")
     return rows

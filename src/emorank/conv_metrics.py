@@ -154,7 +154,7 @@ def mcd(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _voiced_duration_s(contour: F0Contour, mode: str) -> float:
-    hop_s = contour.frame_shift_ms / 1000.0
+    hop_s = contour.frame_shift_s
     if mode == "voiced":
         return float(contour.voiced.sum()) * hop_s
     where = np.flatnonzero(contour.voiced)

@@ -18,6 +18,9 @@ from scipy.fft import dct
 from .errors import EmptyInputError, InvalidParamsError, NonFiniteError, UnsupportedFormatError
 
 DEFAULT_LOG_FLOOR = 1e-10
+# A Mel filter whose largest weight is below this is empty: what is left is
+# rounding residue at an edge (mel_to_hz(hz_to_mel(8000.0)) > 8000.0).
+MIN_FILTER_PEAK = 1e-9
 
 PCM_SCALE = 32768.0
 
@@ -139,7 +142,8 @@ def mel_to_hz(mel):
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
     """Triangular Mel filter weights with unit peak, (n_mels, n_fft // 2 + 1).
 
-    The filters span 0 Hz to sample_rate / 2.  The analysis applies the bank
+    The filters span 0 Hz to sample_rate / 2.  A bank with a filter whose
+    peak is below MIN_FILTER_PEAK is rejected.  The analysis applies the bank
     through _mel_support, which caches its nonzero entries.
     """
     if n_mels < 1:
@@ -154,7 +158,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
-    if np.any(weights.sum(axis=1) == 0.0):
+    if np.any(weights.max(axis=1) < MIN_FILTER_PEAK):
         raise InvalidParamsError(
             f"n_fft={n_fft} gives empty Mel filters; raise n_fft or lower n_mels"
         )

@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteError,
     ParseError,
 )
+from .tables import parse_floats, read_table
 
 PROB_FLOOR = 1e-12
 PROB_SUM_TOL = 1e-6
@@ -141,30 +142,18 @@ def emotion_similarity_loss(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+def _embedding_columns(n_fields: int) -> tuple:
+    """Header `id,label,d0..dN` for a file whose header has n_fields fields."""
+    return ("id", "label") + tuple(f"d{i}" for i in range(max(n_fields - 2, 1)))
+
+
 def read_embeddings_csv(path) -> EmbeddingSet:
     """Read labelled embeddings from CSV rows `id,label,d0..dN`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty embeddings file")
-    header = lines[0].split(",")
-    dim = len(header) - 2
-    if dim < 1 or header[:2] != ["id", "label"] or \
-            header[2:] != [f"d{i}" for i in range(dim)]:
-        raise ParseError(f"{path}: bad embeddings CSV header")
     labels = []
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            rows.append([float(v) for v in parts[2:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric embedding value") from exc
-        labels.append(parts[1])
+    for lineno, (_, label, *values) in read_table(path, ",", _embedding_columns):
+        rows.append(parse_floats(path, lineno, values, "embedding"))
+        labels.append(label)
     if not rows:
         raise ParseError(f"{path}: no embedding rows")
     return from_labeled(np.array(rows), labels)

@@ -16,6 +16,7 @@ import numpy as np
 from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, next_pow2, power_spectrogram
 from .errors import DimensionMismatchError, InvalidParamsError, ParseError
 from .kernels import autocorr_matrix
+from .tables import parse_floats, read_table
 
 DEFAULT_LLD_FRAME_MS = 25.0
 DEFAULT_LLD_HOP_MS = 10.0
@@ -45,20 +46,12 @@ N_FEATURES = 2 * len(LLD_COLUMNS) * len(FUNCTIONAL_NAMES)
 
 
 @dataclass(eq=False)
-class FeatureVector:
-    """Fixed-length utterance descriptor with an optional source id."""
-
-    values: np.ndarray
-    provenance: str = ""
-
-
-@dataclass(eq=False)
 class F0Contour:
     """Per-frame fundamental frequency; 0 Hz marks unvoiced frames."""
 
     f0_hz: np.ndarray
     voiced: np.ndarray
-    frame_shift_ms: float
+    frame_shift_s: float
 
 
 def frame_rms(frames: np.ndarray) -> np.ndarray:
@@ -144,9 +137,12 @@ def pitch_contour(waveform: Waveform,
     silence_rms.  Unvoiced frames carry f0 = 0.
     """
     sr = waveform.sample_rate
-    frames = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
+    hop = _ms_to_samples(sr, hop_ms)
+    frames = frame(waveform, _ms_to_samples(sr, frame_ms), hop)
     f0, voiced, _ = _f0_from_frames(frames, sr, fmin, fmax, voicing_threshold, silence_rms)
-    return F0Contour(f0, voiced, hop_ms)
+    # The hop actually framed with, which differs from hop_ms when
+    # sr * hop_ms / 1000 is not a whole number of samples.
+    return F0Contour(f0, voiced, hop / sr)
 
 
 def energy_contour(waveform: Waveform,
@@ -205,8 +201,8 @@ def delta(x: np.ndarray) -> np.ndarray:
     return acc / DELTA_NORM
 
 
-def functionals(llds: np.ndarray, deltas: np.ndarray, provenance: str = "") -> FeatureVector:
-    """Twelve statistics per contour over descriptors and their deltas.
+def functionals(llds: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Twelve statistics per contour over descriptors and their deltas, (N_FEATURES,).
 
     Statistics follow FUNCTIONAL_NAMES.  Skewness and excess kurtosis are
     0 by convention for constant contours; relative extremum positions are
@@ -251,14 +247,19 @@ def functionals(llds: np.ndarray, deltas: np.ndarray, provenance: str = "") -> F
     span = max(n - 1, 1)
     stats = np.column_stack([mean, std, skew, kurt, cmin, imin / span, cmax, imax / span,
                              cmax - cmin, offset, slope, mse])
-    return FeatureVector(stats.ravel(), provenance)
+    return stats.ravel()
 
 
 def extract_feature_vector(waveform: Waveform, provenance: str = "",
-                           **lld_kwargs) -> FeatureVector:
-    """Full pipeline from waveform to the 384-dimensional vector."""
+                           **lld_kwargs) -> np.ndarray:
+    """Full pipeline from waveform to the 384-dimensional vector.
+
+    provenance is not used.  It stays in the signature because the traced
+    benchmark's tests (perfbench/tests/test_bench_spans.py) label a call with
+    it positionally.
+    """
     llds = compute_llds(waveform, **lld_kwargs)
-    return functionals(llds, delta(llds), provenance)
+    return functionals(llds, delta(llds))
 
 
 def feature_index_map() -> list:
@@ -281,17 +282,20 @@ def feature_csv_header() -> list:
     return ["id"] + [f"f{i:03d}" for i in range(N_FEATURES)]
 
 
-def write_features_csv(vectors, path) -> None:
-    """Write feature vectors as CSV rows `id,f000..f383`.
+def write_features_csv(ids, matrix, path) -> None:
+    """Write one CSV row `id,f000..f383` per id and row of the (n, 384) matrix.
 
     Ids must be non-empty, unique, and free of commas and line breaks, so
     that read_features_csv reads the file back; otherwise nothing is
     written and InvalidParamsError is raised.
     """
-    vectors = list(vectors)
+    ids = list(ids)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.shape != (len(ids), N_FEATURES):
+        raise DimensionMismatchError(
+            f"expected a ({len(ids)}, {N_FEATURES}) feature matrix, got {matrix.shape}")
     seen = set()
-    for vec in vectors:
-        ident = vec.provenance
+    for ident in ids:
         if not ident or "," in ident or ident.splitlines() != [ident]:
             raise InvalidParamsError(
                 f"feature id {ident!r} must be non-empty without commas or line breaks")
@@ -300,34 +304,15 @@ def write_features_csv(vectors, path) -> None:
         seen.add(ident)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(feature_csv_header()) + "\n")
-        for vec in vectors:
-            values = np.asarray(vec.values, dtype=np.float64).tolist()
-            handle.write(vec.provenance + "," + ",".join(map(repr, values)) + "\n")
+        for ident, values in zip(ids, matrix):
+            handle.write(ident + "," + ",".join(map(repr, values.tolist())) + "\n")
 
 
-def read_features_csv(path) -> list:
-    """Read feature vectors written by write_features_csv; ids unique, values finite."""
-    expected = feature_csv_header()
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0].split(",") != expected:
-        raise ParseError(f"{path}: bad feature CSV header")
-    vectors = []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(expected):
-            raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(parts)}")
-        if parts[0] in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
-        seen.add(parts[0])
-        try:
-            values = np.array([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric feature value") from exc
-        if not np.all(np.isfinite(values)):
-            raise ParseError(f"{path}:{lineno}: non-finite feature value")
-        vectors.append(FeatureVector(values, parts[0]))
-    return vectors
+def read_features_csv(path) -> tuple:
+    """Read a file of write_features_csv: (ids, (n, 384) matrix); ids unique, values finite."""
+    rows = {}
+    for lineno, (ident, *values) in read_table(path, ",", feature_csv_header()):
+        if ident in rows:
+            raise ParseError(f"{path}:{lineno}: duplicate id {ident!r}")
+        rows[ident] = parse_floats(path, lineno, values, "feature")
+    return list(rows), np.array(list(rows.values())).reshape(len(rows), N_FEATURES)

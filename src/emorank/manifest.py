@@ -11,7 +11,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateIdError, MissingFileError, ParseError, UnknownEmotionError
+from .errors import DuplicateIdError, ParseError, UnknownEmotionError
+from .tables import read_table, resolve_wav
 
 EMOTIONS = ("neutral", "angry", "happy", "sad", "surprise")
 SPLITS = ("train", "eval", "reference")
@@ -29,53 +30,18 @@ class ManifestEntry:
     split: str
 
 
-@dataclass(eq=False)
-class Manifest:
-    """Ordered manifest entries with unique utterance ids."""
-
-    entries: list
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def by_id(self) -> dict:
-        return {e.utt_id: e for e in self.entries}
-
-    def select(self, split: str | None = None, emotions=None) -> list:
-        chosen = self.entries
-        if split is not None:
-            chosen = [e for e in chosen if e.split == split]
-        if emotions is not None:
-            wanted = set(emotions)
-            chosen = [e for e in chosen if e.emotion in wanted]
-        return chosen
-
-
-def parse_manifest(path) -> Manifest:
-    """Parse and validate a manifest file.
+def parse_manifest(path) -> list:
+    """Parse and validate a manifest file into its ManifestEntry rows.
 
     Raises ParseError for malformed lines or splits, UnknownEmotionError
     for out-of-vocabulary emotions, DuplicateIdError for repeated ids, and
     MissingFileError when a referenced wav does not exist.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or tuple(lines[0].split("\t")) != MANIFEST_COLUMNS:
-        raise ParseError(f"{path}:1: header must be {chr(9).join(MANIFEST_COLUMNS)!r}")
     entries = []
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(MANIFEST_COLUMNS):
-            raise ParseError(
-                f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} fields, got {len(fields)}"
-            )
-        utt_id, wav_path, speaker, emotion, split = fields
+    for lineno, (utt_id, wav_path, speaker, emotion, split) in read_table(
+            path, "\t", MANIFEST_COLUMNS):
         if not utt_id:
             raise ParseError(f"{path}:{lineno}: empty utt_id")
         if utt_id in seen:
@@ -87,13 +53,9 @@ def parse_manifest(path) -> Manifest:
             )
         if split not in SPLITS:
             raise ParseError(f"{path}:{lineno}: split {split!r} not in {SPLITS}")
-        resolved = Path(wav_path)
-        if not resolved.is_absolute():
-            resolved = path.parent / resolved
-        if not resolved.is_file():
-            raise MissingFileError(f"{path}:{lineno}: wav file not found: {resolved}")
-        entries.append(ManifestEntry(utt_id, resolved, speaker, emotion, split))
-    return Manifest(entries)
+        entries.append(ManifestEntry(utt_id, resolve_wav(path, lineno, wav_path),
+                                     speaker, emotion, split))
+    return entries
 
 
 def write_manifest(entries, path) -> None:

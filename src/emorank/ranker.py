@@ -97,7 +97,7 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
     product is larger.  Similar pairs are drawn within class, split evenly
     between the two classes (odd counts favor the neutral side); a class
     with fewer than two members contributes none.  n_similar defaults to
-    half the number of ordered pairs.
+    half the number of ordered pairs and may not exceed MAX_ORDERED_PAIRS.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = list(labels)
@@ -110,8 +110,9 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
     neu = np.array([i for i, l in enumerate(labels) if l == NEUTRAL_LABEL], dtype=np.int64)
     if emo.size == 0 or neu.size == 0:
         raise EmptyClassError("need at least one emotional and one neutral sample")
-    if n_similar is not None and n_similar < 0:
-        raise InvalidParamsError("n_similar must be >= 0")
+    if n_similar is not None and not 0 <= n_similar <= MAX_ORDERED_PAIRS:
+        raise InvalidParamsError(
+            f"n_similar must be in [0, {MAX_ORDERED_PAIRS}], got {n_similar}")
     if seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
 

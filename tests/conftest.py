@@ -31,9 +31,7 @@ def corpus_features(mini_corpus):
 
     vectors = {}
     for entry in mini_corpus:
-        vectors[entry.utt_id] = extract_feature_vector(
-            load_wav(entry.wav_path), entry.utt_id
-        )
+        vectors[entry.utt_id] = extract_feature_vector(load_wav(entry.wav_path))
     return vectors
 
 

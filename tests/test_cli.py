@@ -12,6 +12,7 @@ from emorank.config import Config, load_config, parse_config_file
 from emorank.conv_metrics import DEFAULT_MCEP_BANDS
 from emorank.dsp import save_wav
 from emorank.errors import InvalidParamsError
+from emorank.manifest import ManifestEntry, parse_manifest, write_manifest
 
 FLOAT_FIELDS = [f.name for f in fields(Config) if isinstance(f.default, float)]
 TIMESTAMP_RE = re.compile(r'^\s*"generated_at": "[^"]+",?$', re.MULTILINE)
@@ -224,6 +225,50 @@ class TestExitCodes:
         assert err.startswith("error:") and "mcep_order must be in [1, 39]" in err
         assert not out.exists()
 
+    def test_score_with_wrong_width_model_writes_nothing(self, cli_corpus, cli_model,
+                                                         tmp_path, capsys):
+        payload = json.loads(cli_model.read_text())
+        for key in ("weights", "feature_mean", "feature_std"):
+            payload[key] = payload[key][:10]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        code = main(["score-intensity", "--model", str(model),
+                     "--features", str(cli_corpus["features"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expected vector of shape (10,)" in err
+        assert not out.exists()
+
+    def test_n_similar_above_cap_is_1(self, cli_corpus, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        code = main(["train-ranker", "--features", str(cli_corpus["features"]),
+                     "--manifest", str(cli_corpus["manifest"]), "--emotion", "happy",
+                     "--out", str(out), "--n-similar", "10001"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_similar must be in [0, 10000]" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("converted\treference\n", "pairs.tsv:1: header must be"),
+        ("converted_wav\treference_wav\n\na.wav\tb.wav\tc.wav\n",
+         "pairs.tsv:3: expected 2 fields, got 3"),
+        ("converted_wav\treference_wav\n\n", "no conversion pairs"),
+    ], ids=["header", "three_fields", "no_rows"])
+    def test_bad_pairs_tsv_is_1(self, tmp_path, capsys, text, message):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(text)
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = main(["eval-conversion", "--pairs", str(pairs), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "f.csv")])
@@ -331,6 +376,27 @@ class TestPipeline:
         neu = np.mean([v for k, v in values.items() if k.startswith("neu")])
         emo = np.mean([v for k, v in values.items() if k.startswith("happy")])
         assert emo > neu + 0.5
+
+    def test_train_uses_train_rows_of_two_emotions(self, cli_corpus, cli_model,
+                                                   tmp_path, capsys):
+        # An eval-split row and a row of a third emotion, both with features,
+        # leave the training set and so the model unchanged.
+        entries = parse_manifest(cli_corpus["manifest"])
+        extra = [ManifestEntry("x_eval", entries[1].wav_path, "spk", "happy", "eval"),
+                 ManifestEntry("x_sad", entries[0].wav_path, "spk", "sad", "train")]
+        manifest = tmp_path / "manifest.tsv"
+        write_manifest(entries + extra, manifest)
+        features = tmp_path / "features.csv"
+        assert main(["extract-features", "--manifest", str(manifest),
+                     "--out", str(features)]) == 0
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(["train-ranker", "--features", str(features),
+                     "--manifest", str(manifest), "--emotion", "happy",
+                     "--out", str(model)]) == 0
+        assert "happy ranker on 8 utterances (16 ordered, 8 similar pairs)" in \
+            capsys.readouterr().out
+        assert model.read_bytes() == cli_model.read_bytes()
 
     def test_train_unknown_emotion_rejected(self, cli_corpus, tmp_path, capsys):
         code = main(["train-ranker", "--features", str(cli_corpus["features"]),

@@ -169,6 +169,14 @@ class TestDdur:
         assert ddur(silence, silence, mode="span") == 0.0
         assert ddur(pitch_contour(sine(dur_s=0.5)), silence) == pytest.approx(0.47, abs=1e-9)
 
+    def test_duration_uses_framed_hop(self, sine):
+        # At 22.05 kHz a 10 ms hop frames 220 samples, 9.977 ms: 197 voiced
+        # frames are 1.9655 s, not 1.970 s.
+        tone = pitch_contour(sine(hz=150.0, dur_s=2.0, sr=22050))
+        silence = pitch_contour(Waveform(np.zeros(22050), 22050))
+        assert tone.voiced.sum() == 197
+        assert ddur(tone, silence) == pytest.approx(197 * 220 / 22050, abs=1e-12)
+
     def test_bad_mode_rejected(self, sine):
         f0 = pitch_contour(sine(dur_s=0.1))
         with pytest.raises(InvalidParamsError):

@@ -245,6 +245,12 @@ class TestMelFilterbank:
         with pytest.raises(InvalidParamsError):
             mel_filterbank(0, 512, 16000)
 
+    @pytest.mark.parametrize("sample_rate", [16000, 44100])
+    def test_rounding_residue_filter_rejected(self, sample_rate):
+        # The one filter's only nonzero weight is a residue near 1e-16.
+        with pytest.raises(InvalidParamsError, match="empty Mel filters"):
+            mel_filterbank(1, 2, sample_rate)
+
 
 def _log_mel(waveform):
     """Log Mel band energies behind mcep, recovered by inverting its full-order DCT."""

@@ -196,6 +196,12 @@ class TestEmbeddingsCsv:
         with pytest.raises(ParseError):
             read_embeddings_csv(path)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("id,label,d0\nu1,a,1.0\n\nu2,b,nan\n")
+        with pytest.raises(ParseError, match=r"emb\.csv:4: non-finite embedding value"):
+            read_embeddings_csv(path)
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "emb.csv"
         path.write_text("id,label,d0,d1\nu1,a,1.0\n")

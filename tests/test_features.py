@@ -11,7 +11,6 @@ from emorank.errors import DimensionMismatchError, InvalidParamsError, ParseErro
 from emorank.features import (
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
-    FeatureVector,
     N_FEATURES,
     _climb_to_peak,
     compute_llds,
@@ -250,7 +249,7 @@ class TestFunctionals:
     def _vector_for(self, col):
         values = np.zeros((len(col), len(LLD_COLUMNS)))
         values[:, 0] = col
-        return functionals(values, np.zeros_like(values)).values[:F]
+        return functionals(values, np.zeros_like(values))[:F]
 
     def test_ramp_column(self):
         stats = self._vector_for(np.array([0.0, 1.0, 2.0, 3.0]))
@@ -300,7 +299,7 @@ class TestFunctionals:
     @given(_contour_matrices())
     def test_matches_column_loop(self, x):
         llds, deltas = x[:, : len(LLD_COLUMNS)], x[:, len(LLD_COLUMNS) :]
-        got = functionals(llds, deltas).values.reshape(N_CONTOURS, F)
+        got = functionals(llds, deltas).reshape(N_CONTOURS, F)
         ref = np.array([_column_functionals(x[:, c]) for c in range(N_CONTOURS)])
         np.testing.assert_allclose(got, ref, rtol=FUNCTIONALS_RTOL, atol=FUNCTIONALS_ATOL)
         exact = [_col(name) for name in BITWISE_FUNCTIONALS]
@@ -345,16 +344,15 @@ class TestFunctionals:
 
 class TestFeatureVector:
     def test_length_384(self, sine):
-        vec = extract_feature_vector(sine(), "u1")
-        assert vec.values.shape == (N_FEATURES,)
-        assert vec.values.shape == (384,)
-        assert vec.provenance == "u1"
-        assert np.all(np.isfinite(vec.values))
+        vec = extract_feature_vector(sine())
+        assert vec.shape == (N_FEATURES,)
+        assert vec.shape == (384,)
+        assert np.all(np.isfinite(vec))
 
     def test_short_input_still_valid(self):
         vec = extract_feature_vector(Waveform(np.ones(100) * 0.1, 16000))
-        assert vec.values.shape == (384,)
-        assert np.all(np.isfinite(vec.values))
+        assert vec.shape == (384,)
+        assert np.all(np.isfinite(vec))
 
     def test_index_map_layout(self):
         entries = feature_index_map()
@@ -368,18 +366,16 @@ class TestFeatureVector:
                                 "column": "de_mfcc12", "functional": "lr_mse"}
 
     def test_csv_round_trip(self, tmp_path, sine):
-        vecs = [extract_feature_vector(sine(hz=h), f"u{i}")
-                for i, h in enumerate((150.0, 250.0))]
+        vecs = np.array([extract_feature_vector(sine(hz=h)) for h in (150.0, 250.0)])
         path = tmp_path / "f.csv"
-        write_features_csv(vecs, path)
-        back = read_features_csv(path)
-        assert [v.provenance for v in back] == ["u0", "u1"]
-        for orig, rt in zip(vecs, back):
-            np.testing.assert_array_equal(orig.values, rt.values)
+        write_features_csv(["u0", "u1"], vecs, path)
+        ids, back = read_features_csv(path)
+        assert ids == ["u0", "u1"]
+        np.testing.assert_array_equal(vecs, back)
 
     def test_csv_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "f.csv"
-        write_features_csv([FeatureVector(np.zeros(N_FEATURES), "u0")], path)
+        write_features_csv(["u0"], np.zeros((1, N_FEATURES)), path)
         text = path.read_text()
         path.write_text(text + text.splitlines()[1] + "\n")
         with pytest.raises(ParseError, match=r"f\.csv:3: duplicate id 'u0'"):
@@ -389,9 +385,14 @@ class TestFeatureVector:
                              ids=["empty", "repeated", "comma", "newline"])
     def test_csv_write_rejects_bad_id(self, tmp_path, ids):
         path = tmp_path / "f.csv"
-        vecs = [FeatureVector(np.zeros(N_FEATURES), ident) for ident in ids]
         with pytest.raises(InvalidParamsError):
-            write_features_csv(vecs, path)
+            write_features_csv(ids, np.zeros((len(ids), N_FEATURES)), path)
+        assert not path.exists()
+
+    def test_csv_write_rejects_mismatched_matrix(self, tmp_path):
+        path = tmp_path / "f.csv"
+        with pytest.raises(DimensionMismatchError):
+            write_features_csv(["u0", "u1"], np.zeros((1, N_FEATURES)), path)
         assert not path.exists()
 
     def test_csv_bad_header(self, tmp_path):
@@ -403,8 +404,8 @@ class TestFeatureVector:
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_csv_non_finite_value_rejected(self, tmp_path, bad):
         path = tmp_path / "f.csv"
-        write_features_csv([FeatureVector(np.zeros(N_FEATURES), "u0"),
-                            FeatureVector(np.ones(N_FEATURES), "u1")], path)
+        write_features_csv(["u0", "u1"], np.array([np.zeros(N_FEATURES), np.ones(N_FEATURES)]),
+                           path)
         lines = path.read_text().splitlines()
         fields = lines[2].split(",")
         fields[5] = bad
@@ -416,8 +417,8 @@ class TestFeatureVector:
     def test_csv_first_bad_line_reported(self, tmp_path):
         # Faults of every kind on later lines: the error names line 3.
         path = tmp_path / "f.csv"
-        write_features_csv([FeatureVector(np.full(N_FEATURES, float(i)), f"u{i}")
-                            for i in range(5)], path)
+        write_features_csv([f"u{i}" for i in range(5)],
+                           np.array([np.full(N_FEATURES, float(i)) for i in range(5)]), path)
         lines = path.read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         rows[1][7] = "x"

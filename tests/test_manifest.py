@@ -13,7 +13,6 @@ from emorank.errors import (
 )
 from emorank.manifest import (
     EMOTIONS,
-    Manifest,
     ManifestEntry,
     parse_manifest,
     scan_tree,
@@ -41,22 +40,10 @@ class TestParseManifest:
         rows = ["u1\ta.wav\tspk\tneutral\ttrain", "u2\tsub/b.wav\tspk\thappy\teval"]
         manifest = parse_manifest(self._write(tmp_path, rows))
         assert len(manifest) == 2
-        entry = manifest.by_id()["u2"]
+        entry = {e.utt_id: e for e in manifest}["u2"]
         assert entry.emotion == "happy"
         assert entry.split == "eval"
         assert entry.wav_path == tmp_path / "sub/b.wav"
-
-    def test_select_filters(self, tmp_path):
-        rows = ["u1\ta.wav\tspk\tneutral\ttrain",
-                "u2\tb.wav\tspk\thappy\ttrain",
-                "u3\tc.wav\tspk\thappy\teval"]
-        manifest = parse_manifest(self._write(tmp_path, rows))
-        train = manifest.select(split="train")
-        assert [e.utt_id for e in train] == ["u1", "u2"]
-        happy = manifest.select(emotions=("happy",))
-        assert [e.utt_id for e in happy] == ["u2", "u3"]
-        both = manifest.select(split="train", emotions=("happy",))
-        assert [e.utt_id for e in both] == ["u2"]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "manifest.tsv"
@@ -123,7 +110,7 @@ class TestWriteManifest:
         assert text.splitlines()[0] == HEADER
         assert "wavs/a.wav" in text
         back = parse_manifest(out)
-        assert back.by_id()["u1"].wav_path == tmp_path / "wavs" / "a.wav"
+        assert {e.utt_id: e for e in back}["u1"].wav_path == tmp_path / "wavs" / "a.wav"
 
 
 class TestScanTree:
@@ -154,7 +141,7 @@ class TestMiniCorpus:
         emotions = {e.emotion for e in mini_corpus}
         assert emotions == {"neutral", "happy"}
         assert all(e.split == "train" for e in mini_corpus)
-        wav = load_wav(mini_corpus.entries[0].wav_path)
+        wav = load_wav(mini_corpus[0].wav_path)
         assert wav.sample_rate == 16000
         assert wav.samples.size > 0
 
@@ -168,15 +155,15 @@ class TestMiniCorpus:
     def test_seed_changes_audio(self, tmp_path):
         a = generate_mini_corpus(tmp_path / "a", n_pairs=1, seed=1)
         b = generate_mini_corpus(tmp_path / "b", n_pairs=1, seed=2)
-        wav_a = parse_manifest(a).entries[0].wav_path.read_bytes()
-        wav_b = parse_manifest(b).entries[0].wav_path.read_bytes()
+        wav_a = parse_manifest(a)[0].wav_path.read_bytes()
+        wav_b = parse_manifest(b)[0].wav_path.read_bytes()
         assert wav_a != wav_b
 
     def test_emotional_twins_are_louder_and_higher(self, tmp_path):
         from emorank.features import pitch_contour
 
         manifest = parse_manifest(generate_mini_corpus(tmp_path, n_pairs=3, seed=5))
-        by_id = manifest.by_id()
+        by_id = {e.utt_id: e for e in manifest}
         for idx in range(3):
             neu = load_wav(by_id[f"neu{idx:03d}"].wav_path)
             emo = load_wav(by_id[f"happy{idx:03d}"].wav_path)

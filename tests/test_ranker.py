@@ -112,6 +112,11 @@ class TestBuildPairs:
         with pytest.raises(InvalidParamsError, match="seed must be >= 0"):
             build_pairs(np.zeros((2, 1)), ["emotional", "neutral"], seed=-1)
 
+    def test_n_similar_above_cap_rejected(self):
+        with pytest.raises(InvalidParamsError, match="n_similar must be in"):
+            build_pairs(np.zeros((2, 1)), ["emotional", "neutral"],
+                        n_similar=MAX_ORDERED_PAIRS + 1)
+
     def test_singleton_class_gets_no_similar_pairs(self):
         labels = ["emotional", "neutral", "neutral"]
         pairs = build_pairs(np.zeros((3, 1)), labels, n_similar=4, seed=0)
