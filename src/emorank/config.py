@@ -11,24 +11,28 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .conv_metrics import DDUR_MODES, DEFAULT_MCEP_BANDS
+from .conv_metrics import DDUR_MODES, DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER
 from .errors import InvalidParamsError
+from .features import (DEFAULT_F0_MAX_HZ, DEFAULT_F0_MIN_HZ, DEFAULT_LLD_FRAME_MS,
+                       DEFAULT_LLD_HOP_MS, DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS,
+                       DEFAULT_SILENCE_RMS, DEFAULT_VOICING_THRESHOLD)
+from .ranker import DEFAULT_C
 
 
 @dataclass
 class Config:
-    lld_frame_ms: float = 25.0
-    lld_hop_ms: float = 10.0
-    pitch_frame_ms: float = 40.0
-    pitch_hop_ms: float = 10.0
-    pitch_fmin: float = 60.0
-    pitch_fmax: float = 400.0
-    voicing_threshold: float = 0.45
-    silence_rms: float = 0.001
-    ranker_c: float = 1.0
+    lld_frame_ms: float = DEFAULT_LLD_FRAME_MS
+    lld_hop_ms: float = DEFAULT_LLD_HOP_MS
+    pitch_frame_ms: float = DEFAULT_PITCH_FRAME_MS
+    pitch_hop_ms: float = DEFAULT_PITCH_HOP_MS
+    pitch_fmin: float = DEFAULT_F0_MIN_HZ
+    pitch_fmax: float = DEFAULT_F0_MAX_HZ
+    voicing_threshold: float = DEFAULT_VOICING_THRESHOLD
+    silence_rms: float = DEFAULT_SILENCE_RMS
+    ranker_c: float = DEFAULT_C
     n_similar: int = 0  # 0 means half the ordered-pair count
     seed: int = 0
-    mcep_order: int = 24
+    mcep_order: int = DEFAULT_MCEP_ORDER
     ddur_mode: str = "voiced"
     jobs: int = 0  # 0 means one worker per CPU
     out_dir: str = "."

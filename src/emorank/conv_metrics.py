@@ -5,7 +5,7 @@ Mel cepstral distortion averages, over a DTW-aligned frame path,
 differences), excluding the energy coefficient c0.  Duration
 difference compares total voiced time between the F0 contours of two
 recordings.  The contour report bundles both with DTW-aligned F0 and energy
-trajectories.
+trajectories, both reduced from one pitch framing of each waveform.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, frame, mel_cepstrum, next_pow2, power_spectrogram
+from .dsp import Waveform, frame, mel_cepstrum, power_spectrogram
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -31,6 +31,7 @@ from .features import (
     DEFAULT_VOICING_THRESHOLD,
     F0Contour,
     energy_contour,
+    ms_to_samples,
     pitch_contour,
 )
 from .kernels import dtw_table
@@ -77,12 +78,9 @@ def mcep(waveform: Waveform, order: int = DEFAULT_MCEP_ORDER) -> np.ndarray:
         raise InvalidParamsError(
             f"order must be in [1, {DEFAULT_MCEP_BANDS - 1}], got {order}")
     sr = waveform.sample_rate
-    frame_len = int(round(sr * DEFAULT_MCEP_FRAME_MS / 1000.0))
-    hop = int(round(sr * DEFAULT_MCEP_HOP_MS / 1000.0))
-    frames = frame(waveform, frame_len, hop)
-    n_fft = next_pow2(frame_len)
-    power = power_spectrogram(frames, n_fft)
-    return mel_cepstrum(power, DEFAULT_MCEP_BANDS, n_fft, sr)[:, : order + 1]
+    frames = frame(waveform, ms_to_samples(sr, DEFAULT_MCEP_FRAME_MS),
+                   ms_to_samples(sr, DEFAULT_MCEP_HOP_MS))
+    return mel_cepstrum(power_spectrogram(frames), DEFAULT_MCEP_BANDS, sr)[:, : order + 1]
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -176,6 +174,13 @@ def ddur(converted: F0Contour, reference: F0Contour, mode: str = "voiced") -> fl
     return abs(ref - conv)
 
 
+def _prosody(waveform: Waveform, frame_len: int, hop: int, *voicing) -> tuple:
+    """F0 and energy contours from one framing; one waveform's frames live at a time."""
+    frames = frame(waveform, frame_len, hop)
+    sr = waveform.sample_rate
+    return pitch_contour(frames, sr, hop, *voicing), energy_contour(frames, sr)
+
+
 def contour_report(converted: Waveform, reference: Waveform,
                    mcep_order: int = DEFAULT_MCEP_ORDER,
                    ddur_mode: str = "voiced",
@@ -197,12 +202,11 @@ def contour_report(converted: Waveform, reference: Waveform,
             f"sample rates differ: converted {converted.sample_rate} Hz, "
             f"reference {reference.sample_rate} Hz"
         )
-    pitch_kwargs = dict(frame_ms=frame_ms, hop_ms=hop_ms, fmin=fmin, fmax=fmax,
-                        voicing_threshold=voicing_threshold, silence_rms=silence_rms)
-    f0_conv = pitch_contour(converted, **pitch_kwargs)
-    f0_ref = pitch_contour(reference, **pitch_kwargs)
-    en_conv = energy_contour(converted, frame_ms=frame_ms, hop_ms=hop_ms)
-    en_ref = energy_contour(reference, frame_ms=frame_ms, hop_ms=hop_ms)
+    sr = converted.sample_rate
+    pitch_args = (ms_to_samples(sr, frame_ms), ms_to_samples(sr, hop_ms),
+                  fmin, fmax, voicing_threshold, silence_rms)
+    f0_conv, en_conv = _prosody(converted, *pitch_args)
+    f0_ref, en_ref = _prosody(reference, *pitch_args)
 
     f0_path = dtw_align(f0_conv.f0_hz, f0_ref.f0_hz)
     distortion = mcd(mcep(converted, order=mcep_order), mcep(reference, order=mcep_order))

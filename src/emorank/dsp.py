@@ -111,21 +111,20 @@ def frame(waveform: Waveform, frame_len: int, hop: int) -> np.ndarray:
     return np.ascontiguousarray(windows, dtype=np.float64)
 
 
-def power_spectrogram(frames: np.ndarray, n_fft: int) -> np.ndarray:
-    """One-sided Hann-windowed power spectrum, one row per frame.
+def power_spectrogram(frames: np.ndarray) -> np.ndarray:
+    """One-sided Hann-windowed power spectrum per frame, n_fft = next_pow2(frame_len).
 
     Rows are scaled as |X[k]|^2 / n_fft with non-DC, non-Nyquist bins
     doubled, so each row sums to n_fft times the mean squared value of the
     zero-padded windowed frame.
     """
     frame_len = frames.shape[1]
-    if n_fft < frame_len:
-        raise InvalidParamsError(f"n_fft={n_fft} shorter than frame_len={frame_len}")
+    n_fft = next_pow2(frame_len)
     window = np.hanning(frame_len)
     spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
     power = (spectrum.real ** 2 + spectrum.imag ** 2) / n_fft
-    last = power.shape[1] - 1 if n_fft % 2 == 0 else power.shape[1]
-    power[:, 1:last] *= 2.0
+    # n_fft is even or 1, so the last bin is Nyquist or DC.
+    power[:, 1:-1] *= 2.0
     return power
 
 
@@ -187,26 +186,28 @@ def _mel_support(n_mels: int, n_fft: int, sample_rate: int):
     return support
 
 
-def mel_energies(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """Outputs of the n_mels-filter Mel bank on each row of an n_fft power spectrogram.
+def mel_energies(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
+    """Outputs of the n_mels-filter Mel bank on each row of a power spectrogram.
 
+    power comes from power_spectrogram, so its n_fft is 2 * (bins - 1).
     Sums each filter's nonzero bins only, with no BLAS call: a matrix
     product here would wake BLAS threads inside the CLI's worker threads.
     """
-    columns, weights, starts, _ = _mel_support(n_mels, n_fft, sample_rate)
+    columns, weights, starts, _ = _mel_support(n_mels, 2 * (power.shape[1] - 1), sample_rate)
     gathered = power[:, columns]
     gathered *= weights
     return np.add.reduceat(gathered, starts, axis=1)
 
 
-def mel_energy_totals(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+def mel_energy_totals(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
     """Row sums of mel_energies, from the bank's column sums in one row reduction."""
-    return np.einsum("ij,j->i", power, _mel_support(n_mels, n_fft, sample_rate)[3])
+    column_sums = _mel_support(n_mels, 2 * (power.shape[1] - 1), sample_rate)[3]
+    return np.einsum("ij,j->i", power, column_sums)
 
 
-def mel_cepstrum(power: np.ndarray, n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+def mel_cepstrum(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
     """Orthonormal DCT-II of the log Mel energies floored at DEFAULT_LOG_FLOOR, per row."""
-    energies = mel_energies(power, n_mels, n_fft, sample_rate)
+    energies = mel_energies(power, n_mels, sample_rate)
     return dct(np.log(np.maximum(energies, DEFAULT_LOG_FLOOR)), type=2, norm="ortho", axis=1)
 
 

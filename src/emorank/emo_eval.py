@@ -91,12 +91,17 @@ def clustering_ratio(embedding_set: EmbeddingSet) -> ClusterReport:
 
     With K classes, intra averages ||e - c_i|| over each class's own
     members and then over classes; inter averages ||e - c_j|| over all
-    j != i with weight 1 / (K * (K - 1) * N_i).  Lower is better.
+    j != i with weight 1 / (K * (K - 1) * N_i).  Lower is better.  One
+    member per class or coincident centroids raise DegenerateClustersError.
     """
     k = embedding_set.n_classes
     if k < 2:
         raise InvalidParamsError("clustering ratio needs at least two classes")
     cents = centroids(embedding_set)
+    # Every class has a member, so k rows means one each: intra would be 0.
+    if embedding_set.labels.size == k:
+        raise DegenerateClustersError(
+            "every class has one embedding; intra-class distance is zero by construction")
     intra = 0.0
     inter = 0.0
     for i in range(k):
@@ -148,12 +153,13 @@ def _embedding_columns(n_fields: int) -> tuple:
 
 
 def read_embeddings_csv(path) -> EmbeddingSet:
-    """Read labelled embeddings from CSV rows `id,label,d0..dN`."""
-    labels = []
-    rows = []
-    for lineno, (_, label, *values) in read_table(path, ",", _embedding_columns):
-        rows.append(parse_floats(path, lineno, values, "embedding"))
-        labels.append(label)
+    """Read labelled embeddings from CSV rows `id,label,d0..dN`; ids non-empty and unique."""
+    rows = {}
+    for lineno, (ident, label, *values) in read_table(path, ",", _embedding_columns):
+        if not ident or ident in rows:
+            raise ParseError(f"{path}:{lineno}: {'duplicate' if ident else 'empty'} id {ident!r}")
+        rows[ident] = (label, parse_floats(path, lineno, values, "embedding"))
     if not rows:
         raise ParseError(f"{path}: no embedding rows")
-    return from_labeled(np.array(rows), labels)
+    labels, vectors = zip(*rows.values())
+    return from_labeled(np.array(vectors), labels)

@@ -44,7 +44,7 @@ class SchemaVersionMismatchError(EmorankError):
 
 
 class DegenerateClustersError(EmorankError):
-    """All embeddings coincide, so inter-class distance is zero."""
+    """Clusters that give no ratio: all embeddings coincide, or every class has one."""
 
 
 class InvalidDistributionError(EmorankError):

@@ -5,6 +5,8 @@ F0, harmonics-to-noise ratio, 12 MFCCs), their delta contours, and twelve
 statistical functionals per contour give a 384-dimensional vector per
 utterance.  The vector layout is column-major: all twelve functionals of
 contour 0 occupy indices 0..11, contour 1 occupies 12..23, and so on.
+The F0 and energy contours are frame-level: they reduce a frame matrix the
+caller cut, so one framing of a waveform can feed several analyses.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, next_pow2, power_spectrogram
+from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, power_spectrogram
 from .errors import DimensionMismatchError, InvalidParamsError, ParseError
 from .kernels import autocorr_matrix
 from .tables import parse_floats, read_table
@@ -26,8 +28,6 @@ DEFAULT_F0_MIN_HZ = 60.0
 DEFAULT_F0_MAX_HZ = 400.0
 DEFAULT_VOICING_THRESHOLD = 0.45
 DEFAULT_SILENCE_RMS = 1e-3
-DEFAULT_ENERGY_FRAME_MS = 25.0
-DEFAULT_ENERGY_HOP_MS = 10.0
 
 N_MEL_FILTERS = 26
 N_MFCC = 12
@@ -47,11 +47,12 @@ N_FEATURES = 2 * len(LLD_COLUMNS) * len(FUNCTIONAL_NAMES)
 
 @dataclass(eq=False)
 class F0Contour:
-    """Per-frame fundamental frequency; 0 Hz marks unvoiced frames."""
+    """Per-frame F0 (0 Hz marks unvoiced frames) and peak normalized autocorrelation."""
 
     f0_hz: np.ndarray
     voiced: np.ndarray
     frame_shift_s: float
+    peak: np.ndarray
 
 
 def frame_rms(frames: np.ndarray) -> np.ndarray:
@@ -68,7 +69,8 @@ def frame_zcr(frames: np.ndarray) -> np.ndarray:
     return flips / (frames.shape[1] - 1)
 
 
-def _ms_to_samples(sample_rate: int, ms: float) -> int:
+def ms_to_samples(sample_rate: int, ms: float) -> int:
+    """A duration in milliseconds as the nearest whole number of samples."""
     return int(round(sample_rate * ms / 1000.0))
 
 
@@ -84,18 +86,25 @@ def _climb_to_peak(corr: np.ndarray, first: np.ndarray) -> np.ndarray:
     return stop.argmax(axis=1)
 
 
-def _f0_from_frames(frames: np.ndarray, sample_rate: int,
-                    fmin: float, fmax: float,
-                    voicing_threshold: float, silence_rms: float):
-    """Autocorrelation pitch per frame: (f0_hz, voiced, peak_corr)."""
+def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
+                  fmin: float = DEFAULT_F0_MIN_HZ,
+                  fmax: float = DEFAULT_F0_MAX_HZ,
+                  voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
+                  silence_rms: float = DEFAULT_SILENCE_RMS) -> F0Contour:
+    """Track F0 over frames cut hop samples apart, by normalized autocorrelation.
+
+    A frame is voiced when its best normalized autocorrelation in the lag
+    range for [fmin, fmax] reaches voicing_threshold and its RMS reaches
+    silence_rms.  Unvoiced frames carry f0 = 0.
+    """
     if not 0.0 < fmin < fmax:
         raise InvalidParamsError("need 0 < fmin < fmax")
     n_frames, frame_len = frames.shape
     lag_min = max(2, int(np.floor(sample_rate / fmax)))
     lag_max = min(int(np.ceil(sample_rate / fmin)), frame_len - 1)
     if lag_max <= lag_min:
-        zeros = np.zeros(n_frames)
-        return zeros, np.zeros(n_frames, dtype=bool), zeros
+        return F0Contour(np.zeros(n_frames), np.zeros(n_frames, dtype=bool),
+                         hop / sample_rate, np.zeros(n_frames))
     corr = autocorr_matrix(frames, lag_min, lag_max)
     peak = corr.max(axis=1)
     rows = np.arange(n_frames)
@@ -120,40 +129,12 @@ def _f0_from_frames(frames: np.ndarray, sample_rate: int,
 
     f0 = np.clip(sample_rate / lag_star, fmin, fmax)
     voiced = (peak >= voicing_threshold) & (frame_rms(frames) >= silence_rms)
-    return np.where(voiced, f0, 0.0), voiced, peak
+    return F0Contour(np.where(voiced, f0, 0.0), voiced, hop / sample_rate, peak)
 
 
-def pitch_contour(waveform: Waveform,
-                  frame_ms: float = DEFAULT_PITCH_FRAME_MS,
-                  hop_ms: float = DEFAULT_PITCH_HOP_MS,
-                  fmin: float = DEFAULT_F0_MIN_HZ,
-                  fmax: float = DEFAULT_F0_MAX_HZ,
-                  voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
-                  silence_rms: float = DEFAULT_SILENCE_RMS) -> F0Contour:
-    """Track F0 with normalized autocorrelation and a voicing gate.
-
-    A frame is voiced when its best normalized autocorrelation in the lag
-    range for [fmin, fmax] reaches voicing_threshold and its RMS reaches
-    silence_rms.  Unvoiced frames carry f0 = 0.
-    """
-    sr = waveform.sample_rate
-    hop = _ms_to_samples(sr, hop_ms)
-    frames = frame(waveform, _ms_to_samples(sr, frame_ms), hop)
-    f0, voiced, _ = _f0_from_frames(frames, sr, fmin, fmax, voicing_threshold, silence_rms)
-    # The hop actually framed with, which differs from hop_ms when
-    # sr * hop_ms / 1000 is not a whole number of samples.
-    return F0Contour(f0, voiced, hop / sr)
-
-
-def energy_contour(waveform: Waveform,
-                   frame_ms: float = DEFAULT_ENERGY_FRAME_MS,
-                   hop_ms: float = DEFAULT_ENERGY_HOP_MS) -> np.ndarray:
+def energy_contour(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     """Per-frame sum of the N_MEL_FILTERS Mel filter outputs on the power spectrum."""
-    sr = waveform.sample_rate
-    frames = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
-    n_fft = next_pow2(frames.shape[1])
-    power = power_spectrogram(frames, n_fft)
-    return mel_energy_totals(power, N_MEL_FILTERS, n_fft, sr)
+    return mel_energy_totals(power_spectrogram(frames), N_MEL_FILTERS, sample_rate)
 
 
 def compute_llds(waveform: Waveform,
@@ -170,20 +151,17 @@ def compute_llds(waveform: Waveform,
     1..12 from a 26-filter Mel bank.
     """
     sr = waveform.sample_rate
-    x = frame(waveform, _ms_to_samples(sr, frame_ms), _ms_to_samples(sr, hop_ms))
+    hop = ms_to_samples(sr, hop_ms)
+    x = frame(waveform, ms_to_samples(sr, frame_ms), hop)
 
-    zcr = frame_zcr(x)
-    rms = frame_rms(x)
-    f0, _, peak = _f0_from_frames(x, sr, fmin, fmax, voicing_threshold, silence_rms)
+    pitch = pitch_contour(x, sr, hop, fmin, fmax, voicing_threshold, silence_rms)
 
     # HNR from the autocorrelation peak: 10 log10(r / (1 - r)), clamped.
-    safe = np.clip(peak, 1e-12, 1.0 - 1e-12)
+    safe = np.clip(pitch.peak, 1e-12, 1.0 - 1e-12)
     hnr = np.clip(10.0 * np.log10(safe / (1.0 - safe)), -HNR_LIMIT_DB, HNR_LIMIT_DB)
 
-    n_fft = next_pow2(x.shape[1])
-    power = power_spectrogram(x, n_fft)
-    mfcc = mel_cepstrum(power, N_MEL_FILTERS, n_fft, sr)[:, 1 : N_MFCC + 1]
-    return np.column_stack([zcr, rms, f0, hnr, mfcc])
+    mfcc = mel_cepstrum(power_spectrogram(x), N_MEL_FILTERS, sr)[:, 1 : N_MFCC + 1]
+    return np.column_stack([frame_zcr(x), frame_rms(x), pitch.f0_hz, hnr, mfcc])
 
 
 def delta(x: np.ndarray) -> np.ndarray:
@@ -205,7 +183,8 @@ def functionals(llds: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Twelve statistics per contour over descriptors and their deltas, (N_FEATURES,).
 
     Statistics follow FUNCTIONAL_NAMES.  Skewness and excess kurtosis are
-    0 by convention for constant contours; relative extremum positions are
+    0 by convention for constant contours, and for contours whose standard
+    deviation underflows to 0; relative extremum positions are
     first occurrences scaled to [0, 1], and 0 for single-frame input.
     """
     if llds.shape[0] != deltas.shape[0]:
@@ -223,11 +202,12 @@ def functionals(llds: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     imax = x.argmax(axis=1)
     cmin = x[rows, imin]
     cmax = x[rows, imax]
-    # Constant contours: moments and regression residuals vanish exactly.
-    constant = cmax == cmin
     mean = x.mean(axis=1)
     dev = x - mean[:, None]
     std = np.sqrt(np.mean(dev * dev, axis=1))
+    # Constant contours, and those whose squared deviations underflow to a 0
+    # std (NaN moments otherwise): moments and regression residuals are 0.
+    constant = (cmax == cmin) | (std == 0.0)
     std[constant] = 0.0
     z = dev / np.where(constant, 1.0, std)[:, None]
     z2 = z * z

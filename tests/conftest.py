@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from emorank.dsp import Waveform
-from emorank.features import extract_feature_vector
+from emorank.dsp import Waveform, frame
+from emorank.features import (
+    DEFAULT_PITCH_FRAME_MS,
+    DEFAULT_PITCH_HOP_MS,
+    extract_feature_vector,
+    ms_to_samples,
+)
 from emorank.manifest import parse_manifest
 from emorank.synthcorpus import generate_mini_corpus
 
@@ -16,6 +21,21 @@ def sine():
         return Waveform(amp * np.sin(2.0 * np.pi * hz * t + phase), sr)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def framed():
+    """(frames, sample_rate, hop) of a waveform cut at a framing in ms.
+
+    These are the leading arguments of pitch_contour; energy_contour takes
+    the first two.  Session-scoped, so hypothesis tests can use it.
+    """
+    def cut(waveform, frame_ms=DEFAULT_PITCH_FRAME_MS, hop_ms=DEFAULT_PITCH_HOP_MS):
+        sr = waveform.sample_rate
+        hop = ms_to_samples(sr, hop_ms)
+        return frame(waveform, ms_to_samples(sr, frame_ms), hop), sr, hop
+
+    return cut
 
 
 @pytest.fixture(scope="session")

@@ -123,7 +123,7 @@ def test_criterion_4_demo_corpus_ranks_emotion(mini_corpus, corpus_features):
         assert model.solver_report["converged"]
 
 
-def test_criterion_5_metric_identities(sine):
+def test_criterion_5_metric_identities(sine, framed):
     label = "distortion and loss identities hit their closed-form values"
     with criterion(5, label):
         seq = _mcep(np.random.default_rng(5).normal(size=(20, 13)))
@@ -139,7 +139,7 @@ def test_criterion_5_metric_identities(sine):
         assert emotion_similarity_loss(np.array([3.0, -4.0]), np.zeros(2)) == pytest.approx(
             3.5355339059327378, abs=1e-6)
         tone = sine(dur_s=0.5)
-        assert ddur(pitch_contour(tone), pitch_contour(tone)) == 0.0
+        assert ddur(pitch_contour(*framed(tone)), pitch_contour(*framed(tone))) == 0.0
 
 
 def test_criterion_6_clustering_ratio_behaviour():
@@ -173,24 +173,24 @@ def test_criterion_6_clustering_ratio_behaviour():
             assert abs(r1 - r0) <= 1e-9
 
 
-def test_criterion_7_features_and_alignment(sine, brute_force_dtw):
+def test_criterion_7_features_and_alignment(sine, brute_force_dtw, framed):
     label = "pitch within 5 Hz, 384-d vectors, quadratic energy, exact DTW"
     with criterion(7, label):
         for hz in (220.0, 330.0):
-            contour = pitch_contour(sine(hz=hz))
+            contour = pitch_contour(*framed(sine(hz=hz)))
             voiced = contour.f0_hz[contour.voiced]
             assert voiced.size > 0
             assert abs(voiced.mean() - hz) < 5.0
         silence = Waveform(np.zeros(16000), 16000)
-        assert not pitch_contour(silence).voiced.any()
+        assert not pitch_contour(*framed(silence)).voiced.any()
 
         vector = extract_feature_vector(sine(hz=220.0))
         assert vector.shape == (384,)
         assert np.all(np.isfinite(vector))
 
         tone = sine(hz=180.0)
-        quiet = energy_contour(tone)
-        loud = energy_contour(Waveform(tone.samples * 2.0, 16000))
+        quiet = energy_contour(*framed(tone, 25.0)[:2])
+        loud = energy_contour(*framed(Waveform(tone.samples * 2.0, 16000), 25.0)[:2])
         np.testing.assert_allclose(loud, 4.0 * quiet, rtol=1e-9)
 
         for seed in (0, 1, 2):

@@ -269,6 +269,22 @@ class TestExitCodes:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ("u1,a,0\nu1,b,1\nu2,a,0.5\n", "emb.csv:3: duplicate id 'u1'"),
+        ("u1,a,0\n,b,1\nu2,a,0.5\n", "emb.csv:3: empty id ''"),
+        ("u1,a,0\nu2,b,1\n", "every class has one embedding"),
+    ], ids=["duplicate_id", "empty_id", "one_member_per_class"])
+    def test_bad_embeddings_is_1(self, tmp_path, capsys, rows, message):
+        emb = tmp_path / "emb.csv"
+        emb.write_text("id,label,d0\n" + rows)
+        out = tmp_path / "cluster.json"
+        capsys.readouterr()
+        code = main(["eval-clustering", "--embeddings", str(emb), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "f.csv")])

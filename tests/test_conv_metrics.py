@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from emorank import conv_metrics, features
 from emorank.conv_metrics import (
     DEFAULT_MCEP_BANDS,
     MCD_ALPHA,
@@ -13,7 +14,7 @@ from emorank.conv_metrics import (
     mcep,
     write_contour_csv,
 )
-from emorank.dsp import Waveform
+from emorank.dsp import Waveform, frame
 from emorank.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -144,41 +145,43 @@ class TestMcd:
 
 
 class TestDdur:
-    def test_identical_is_zero(self, sine):
+    def test_identical_is_zero(self, sine, framed):
         wav = sine(dur_s=0.5)
-        assert ddur(pitch_contour(wav), pitch_contour(wav)) == 0.0
+        assert ddur(pitch_contour(*framed(wav)), pitch_contour(*framed(wav))) == 0.0
 
-    def test_known_duration_gap(self, sine):
+    def test_known_duration_gap(self, sine, framed):
         # 1.0 s of tone has 97 voiced frames, 0.7 s has 67: gap is 0.3 s
-        gap = ddur(pitch_contour(sine(dur_s=1.0)), pitch_contour(sine(dur_s=0.7)))
+        gap = ddur(pitch_contour(*framed(sine(dur_s=1.0))),
+                   pitch_contour(*framed(sine(dur_s=0.7))))
         assert gap == pytest.approx(0.3, abs=1e-9)
 
-    def test_span_counts_interior_gaps(self, sine, tmp_path):
+    def test_span_counts_interior_gaps(self, sine, tmp_path, framed):
         sr = 16000
         tone = sine(dur_s=0.2).samples
         gap = np.zeros(int(0.2 * sr))
-        split_f0 = pitch_contour(Waveform(np.concatenate([tone, gap, tone]), sr))
-        solid_f0 = pitch_contour(Waveform(np.concatenate([tone, tone, gap]), sr))
+        split_f0 = pitch_contour(*framed(Waveform(np.concatenate([tone, gap, tone]), sr)))
+        solid_f0 = pitch_contour(*framed(Waveform(np.concatenate([tone, tone, gap]), sr)))
         voiced_gap = ddur(split_f0, solid_f0, mode="voiced")
         span_gap = ddur(split_f0, solid_f0, mode="span")
         assert voiced_gap < 0.05
         assert span_gap > voiced_gap + 0.1
 
-    def test_silence_has_zero_duration(self, sine):
-        silence = pitch_contour(Waveform(np.zeros(8000), 16000))
+    def test_silence_has_zero_duration(self, sine, framed):
+        silence = pitch_contour(*framed(Waveform(np.zeros(8000), 16000)))
         assert ddur(silence, silence, mode="span") == 0.0
-        assert ddur(pitch_contour(sine(dur_s=0.5)), silence) == pytest.approx(0.47, abs=1e-9)
+        assert ddur(pitch_contour(*framed(sine(dur_s=0.5))), silence) == pytest.approx(
+            0.47, abs=1e-9)
 
-    def test_duration_uses_framed_hop(self, sine):
+    def test_duration_uses_framed_hop(self, sine, framed):
         # At 22.05 kHz a 10 ms hop frames 220 samples, 9.977 ms: 197 voiced
         # frames are 1.9655 s, not 1.970 s.
-        tone = pitch_contour(sine(hz=150.0, dur_s=2.0, sr=22050))
-        silence = pitch_contour(Waveform(np.zeros(22050), 22050))
+        tone = pitch_contour(*framed(sine(hz=150.0, dur_s=2.0, sr=22050)))
+        silence = pitch_contour(*framed(Waveform(np.zeros(22050), 22050)))
         assert tone.voiced.sum() == 197
         assert ddur(tone, silence) == pytest.approx(197 * 220 / 22050, abs=1e-12)
 
-    def test_bad_mode_rejected(self, sine):
-        f0 = pitch_contour(sine(dur_s=0.1))
+    def test_bad_mode_rejected(self, sine, framed):
+        f0 = pitch_contour(*framed(sine(dur_s=0.1)))
         with pytest.raises(InvalidParamsError):
             ddur(f0, f0, mode="frames")
 
@@ -211,6 +214,19 @@ class TestContourReport:
         assert rows.shape == (report.n_aligned_frames, 7)
         assert np.all(rows[:, 3] == report.f0_conv[report.f0_path[:, 0]])
         assert np.all(rows[:, 4] == report.f0_ref[report.f0_path[:, 1]])
+
+    def test_frames_each_waveform_once(self, sine, monkeypatch):
+        framings = []
+
+        def counting_frame(waveform, frame_len, hop):
+            framings.append(frame_len)
+            return frame(waveform, frame_len, hop)
+
+        for module in (conv_metrics, features):
+            monkeypatch.setattr(module, "frame", counting_frame)
+        contour_report(sine(dur_s=0.5), sine(hz=180.0, dur_s=0.6))
+        # One 40 ms pitch framing and one 25 ms MCEP framing per waveform.
+        assert sorted(framings) == [400, 400, 640, 640]
 
     def test_sample_rate_mismatch_rejected(self, sine):
         with pytest.raises(InvalidParamsError, match="sample rates differ"):

@@ -53,9 +53,11 @@ def _column_functionals(col):
     mean = float(col.mean())
     rel_min = imin / (n - 1) if n > 1 else 0.0
     rel_max = imax / (n - 1) if n > 1 else 0.0
-    if cmax == cmin:
-        return [mean, 0.0, 0.0, 0.0, cmin, rel_min, cmax, rel_max, 0.0, mean, 0.0, 0.0]
     std = float(col.std())
+    # A contour whose deviations underflow (std == 0) counts as constant.
+    if cmax == cmin or std == 0.0:
+        return [mean, 0.0, 0.0, 0.0, cmin, rel_min, cmax, rel_max,
+                float(cmax - cmin), mean, 0.0, 0.0]
     z = (col - mean) / std
     skew = float(np.mean(z ** 3))
     kurt = float(np.mean(z ** 4)) - 3.0
@@ -168,28 +170,28 @@ class TestFrameStats:
 
 class TestPitch:
     @pytest.mark.parametrize("hz", [100.0, 220.0, 330.0, 395.0])
-    def test_sine_accuracy(self, sine, hz):
-        contour = pitch_contour(sine(hz=hz, amp=0.6))
+    def test_sine_accuracy(self, sine, hz, framed):
+        contour = pitch_contour(*framed(sine(hz=hz, amp=0.6)))
         voiced = contour.f0_hz[contour.voiced]
         assert voiced.size > 50
         assert np.max(np.abs(voiced - hz)) < 0.5
 
-    def test_silence_unvoiced(self):
-        contour = pitch_contour(Waveform(np.zeros(8000), 16000))
+    def test_silence_unvoiced(self, framed):
+        contour = pitch_contour(*framed(Waveform(np.zeros(8000), 16000)))
         assert not contour.voiced.any()
         np.testing.assert_array_equal(contour.f0_hz, 0.0)
 
-    def test_silent_prefix_unvoiced(self, sine):
+    def test_silent_prefix_unvoiced(self, sine, framed):
         tone = sine(dur_s=0.5, amp=0.5).samples
         w = Waveform(np.concatenate([np.zeros(8000), tone]), 16000)
-        contour = pitch_contour(w)
+        contour = pitch_contour(*framed(w))
         # frames fully inside the 8000-sample prefix start at <= 7360
         assert not contour.voiced[:46].any()
         assert contour.voiced[50:80].all()
 
-    def test_amplitude_invariance(self, sine):
-        a = pitch_contour(sine(amp=0.6))
-        b = pitch_contour(sine(amp=0.3))
+    def test_amplitude_invariance(self, sine, framed):
+        a = pitch_contour(*framed(sine(amp=0.6)))
+        b = pitch_contour(*framed(sine(amp=0.3)))
         np.testing.assert_array_equal(a.voiced, b.voiced)
         assert np.max(np.abs(a.f0_hz - b.f0_hz)) < 0.1
 
@@ -203,10 +205,10 @@ class TestPitch:
         corr, first = case
         np.testing.assert_array_equal(_climb_to_peak(corr, first), _climb_loop(corr, first))
 
-    def test_voiced_marks_match_zero_f0(self, sine):
+    def test_voiced_marks_match_zero_f0(self, sine, framed):
         tone = sine(dur_s=0.4).samples
         w = Waveform(np.concatenate([tone, np.zeros(4000), tone]), 16000)
-        contour = pitch_contour(w)
+        contour = pitch_contour(*framed(w))
         np.testing.assert_array_equal(contour.voiced, contour.f0_hz > 0.0)
 
 
@@ -304,6 +306,14 @@ class TestFunctionals:
         np.testing.assert_allclose(got, ref, rtol=FUNCTIONALS_RTOL, atol=FUNCTIONALS_ATOL)
         exact = [_col(name) for name in BITWISE_FUNCTIONALS]
         np.testing.assert_array_equal(got[:, exact], ref[:, exact])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_contour_matrices())
+    @example(np.vstack([np.full((1, N_CONTOURS), 1e-170), np.zeros((4, N_CONTOURS))]))
+    def test_all_finite(self, x):
+        # The example's squared deviations underflow, so its std is 0.
+        assert np.all(np.isfinite(functionals(x[:, : len(LLD_COLUMNS)],
+                                              x[:, len(LLD_COLUMNS) :])))
 
     @settings(max_examples=200, deadline=None)
     @given(_spread_contours(), st.integers(-800, 800).map(lambda v: v / 8.0))
@@ -431,17 +441,17 @@ class TestFeatureVector:
 
 
 class TestFrameEnergy:
-    def test_silence_is_zero(self):
-        contour = energy_contour(Waveform(np.zeros(8000), 16000))
+    def test_silence_is_zero(self, framed):
+        contour = energy_contour(*framed(Waveform(np.zeros(8000), 16000), 25.0)[:2])
         assert contour.shape == (48,)
         np.testing.assert_array_equal(contour, 0.0)
 
-    def test_amplitude_doubling_quadruples(self, sine):
-        a = energy_contour(sine(amp=0.25))
-        b = energy_contour(sine(amp=0.5))
+    def test_amplitude_doubling_quadruples(self, sine, framed):
+        a = energy_contour(*framed(sine(amp=0.25), 25.0)[:2])
+        b = energy_contour(*framed(sine(amp=0.5), 25.0)[:2])
         np.testing.assert_allclose(b, 4.0 * a, rtol=1e-9)
 
-    def test_non_negative(self):
+    def test_non_negative(self, framed):
         rng = np.random.default_rng(6)
-        contour = energy_contour(Waveform(rng.normal(0, 0.2, 8000), 16000))
+        contour = energy_contour(*framed(Waveform(rng.normal(0, 0.2, 8000), 16000), 25.0)[:2])
         assert np.all(contour >= 0.0)

@@ -159,7 +159,7 @@ class TestMiniCorpus:
         wav_b = parse_manifest(b)[0].wav_path.read_bytes()
         assert wav_a != wav_b
 
-    def test_emotional_twins_are_louder_and_higher(self, tmp_path):
+    def test_emotional_twins_are_louder_and_higher(self, tmp_path, framed):
         from emorank.features import pitch_contour
 
         manifest = parse_manifest(generate_mini_corpus(tmp_path, n_pairs=3, seed=5))
@@ -168,8 +168,8 @@ class TestMiniCorpus:
             neu = load_wav(by_id[f"neu{idx:03d}"].wav_path)
             emo = load_wav(by_id[f"happy{idx:03d}"].wav_path)
             assert np.abs(emo.samples).mean() > np.abs(neu.samples).mean()
-            f_neu = pitch_contour(neu)
-            f_emo = pitch_contour(emo)
+            f_neu = pitch_contour(*framed(neu))
+            f_emo = pitch_contour(*framed(emo))
             med_neu = np.median(f_neu.f0_hz[f_neu.voiced])
             med_emo = np.median(f_emo.f0_hz[f_emo.voiced])
             assert med_emo > med_neu * 1.2
