@@ -5,6 +5,11 @@ corpus tree, extract utterance features, train and apply intensity
 rankers, and evaluate converted speech.  Exit codes: 0 success, 1
 validation error (bad flags, malformed or inconsistent inputs), 2 I/O
 error (unreadable or unwritable files).
+
+Settings are merged once, in `main`: the defaults, then the `--config`
+file, then every flag whose dest is a `Config` field.  A relative `--out`
+is resolved against `out_dir` there too, so each handler takes
+`(args, config)` and only reads its inputs, computes and writes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, load_config
+from .config import CONFIG_KEYS, Config, load_config
 from .conv_metrics import contour_report, write_contour_csv
 from .dsp import load_wav
 from .emo_eval import clustering_ratio, read_embeddings_csv
@@ -51,11 +56,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _resolve_out(config: Config, out) -> Path:
-    path = Path(out)
-    return path if path.is_absolute() else Path(config.out_dir) / path
-
-
 def _write_json(payload: dict, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
@@ -71,12 +71,11 @@ def _pool_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _cmd_extract_features(args) -> int:
-    config = load_config(args.config, jobs=args.jobs)
+def _cmd_extract_features(args, config: Config) -> int:
     if args.describe_features:
         payload = {"n_features": N_FEATURES, "features": feature_index_map()}
         if args.out:
-            _write_json(payload, _resolve_out(config, args.out))
+            _write_json(payload, args.out)
         else:
             print(json.dumps(payload, indent=2))
         return 0
@@ -88,16 +87,13 @@ def _cmd_extract_features(args) -> int:
         return extract_feature_vector(load_wav(entry.wav_path), **config.lld_kwargs())
 
     vectors = _pool_map(work, entries, config.jobs)
-    out = _resolve_out(config, args.out)
     write_features_csv([e.utt_id for e in entries],
-                       np.reshape(vectors, (len(vectors), N_FEATURES)), out)
-    print(f"wrote {len(vectors)} feature rows to {out}")
+                       np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)
+    print(f"wrote {len(vectors)} feature rows to {args.out}")
     return 0
 
 
-def _cmd_train_ranker(args) -> int:
-    config = load_config(args.config, ranker_c=args.c, n_similar=args.n_similar,
-                         seed=args.seed)
+def _cmd_train_ranker(args, config: Config) -> int:
     if args.emotion not in EMOTIONS or args.emotion == "neutral":
         raise InvalidParamsError(
             f"--emotion must be a non-neutral member of {EMOTIONS}, got {args.emotion!r}"
@@ -119,33 +115,29 @@ def _cmd_train_ranker(args) -> int:
     pairs = build_pairs(features, labels,
                         n_similar=config.n_similar or None, seed=config.seed)
     model = train_ranker(pairs, c=config.ranker_c, emotion=args.emotion)
-    out = _resolve_out(config, args.out)
-    save_model(model, out)
+    save_model(model, args.out)
     report = model.solver_report
     print(f"trained {args.emotion} ranker on {len(rows)} utterances "
           f"({pairs.ordered.shape[0]} ordered, {pairs.similar.shape[0]} similar pairs), "
           f"{report['iterations']} iterations, objective {report['final_objective']:.6g}; "
-          f"wrote {out}")
+          f"wrote {args.out}")
     return 0
 
 
-def _cmd_score_intensity(args) -> int:
-    config = load_config(args.config)
+def _cmd_score_intensity(args, config: Config) -> int:
     model = load_model(args.model)
     ids, matrix = read_features_csv(args.features)
     # Score every row before opening --out, so a failure leaves no file.
     scores = [score(model, row) for row in matrix]
-    out = _resolve_out(config, args.out)
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
+    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("utt_id,intensity\n")
         for ident, value in zip(ids, scores):
             handle.write(f"{ident},{value!r}\n")
-    print(f"wrote {len(ids)} intensity scores to {out}")
+    print(f"wrote {len(ids)} intensity scores to {args.out}")
     return 0
 
 
-def _cmd_eval_clustering(args) -> int:
-    config = load_config(args.config)
+def _cmd_eval_clustering(args, config: Config) -> int:
     embedding_set = read_embeddings_csv(args.embeddings)
     report = clustering_ratio(embedding_set)
     payload = {
@@ -156,9 +148,8 @@ def _cmd_eval_clustering(args) -> int:
         "dist_intra": report.dist_intra,
         "ratio": report.ratio,
     }
-    out = _resolve_out(config, args.out)
-    _write_json(payload, out)
-    print(f"clustering ratio {report.ratio:.6g}; wrote {out}")
+    _write_json(payload, args.out)
+    print(f"clustering ratio {report.ratio:.6g}; wrote {args.out}")
     return 0
 
 
@@ -170,17 +161,19 @@ def _read_pairs_tsv(path) -> list:
     return rows
 
 
-def _cmd_eval_conversion(args) -> int:
-    config = load_config(args.config, mcep_order=args.mcep_order,
-                         ddur_mode=args.ddur_mode, jobs=args.jobs)
+def _contour_report(config: Config, converted, reference):
+    """The contour report of two wav files under the configured analysis settings."""
+    return contour_report(load_wav(converted), load_wav(reference),
+                          mcep_order=config.mcep_order, ddur_mode=config.ddur_mode,
+                          **config.pitch_kwargs())
+
+
+def _cmd_eval_conversion(args, config: Config) -> int:
     rows = _read_pairs_tsv(args.pairs)
 
     def work(row):
         conv_name, ref_name, conv_path, ref_path = row
-        report = contour_report(load_wav(conv_path), load_wav(ref_path),
-                                mcep_order=config.mcep_order,
-                                ddur_mode=config.ddur_mode,
-                                **config.pitch_kwargs())
+        report = _contour_report(config, conv_path, ref_path)
         return {
             "converted": conv_name,
             "reference": ref_name,
@@ -199,40 +192,30 @@ def _cmd_eval_conversion(args) -> int:
             "mean_ddur_s": float(np.mean([r["ddur_s"] for r in results])),
         },
     }
-    out = _resolve_out(config, args.out)
-    _write_json(payload, out)
+    _write_json(payload, args.out)
     print(f"evaluated {len(results)} pairs, "
-          f"mean MCD {payload['summary']['mean_mcd_db']:.3f} dB; wrote {out}")
+          f"mean MCD {payload['summary']['mean_mcd_db']:.3f} dB; wrote {args.out}")
     return 0
 
 
-def _cmd_contours(args) -> int:
-    config = load_config(args.config, mcep_order=args.mcep_order,
-                         ddur_mode=args.ddur_mode)
-    report = contour_report(load_wav(args.converted), load_wav(args.reference),
-                            mcep_order=config.mcep_order,
-                            ddur_mode=config.ddur_mode,
-                            **config.pitch_kwargs())
-    out = _resolve_out(config, args.out)
-    write_contour_csv(report, out)
+def _cmd_contours(args, config: Config) -> int:
+    report = _contour_report(config, args.converted, args.reference)
+    write_contour_csv(report, args.out)
     print(f"MCD {report.mcd_db:.3f} dB, DDUR {report.ddur_s:.3f} s, "
-          f"{report.n_aligned_frames} aligned frames; wrote {out}")
+          f"{report.n_aligned_frames} aligned frames; wrote {args.out}")
     return 0
 
 
-def _cmd_make_manifest(args) -> int:
-    config = load_config(args.config)
+def _cmd_make_manifest(args, config: Config) -> int:
     entries = scan_tree(args.root, split=args.split)
-    out = _resolve_out(config, args.out)
-    write_manifest(entries, out)
-    print(f"indexed {len(entries)} utterances into {out}")
+    write_manifest(entries, args.out)
+    print(f"indexed {len(entries)} utterances into {args.out}")
     return 0
 
 
-def _cmd_synth_corpus(args) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    manifest_path = generate_mini_corpus(args.out_dir, n_pairs=args.pairs,
-                                         emotion=args.emotion, seed=seed)
+def _cmd_synth_corpus(args, config: Config) -> int:
+    manifest_path = generate_mini_corpus(args.corpus_dir, n_pairs=args.pairs,
+                                         emotion=args.emotion, seed=args.corpus_seed)
     print(f"wrote {2 * args.pairs} utterances and {manifest_path}")
     return 0
 
@@ -241,85 +224,89 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="emorank",
                      description="Emotion intensity ranking and conversion evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several commands.  A flag whose dest is a Config field
+    # overrides that key in main; no other flag may have such a dest.
+    settings = _Parser(add_help=False)
+    settings.add_argument("--config", help="key = value config file")
+    jobs = _Parser(add_help=False)
+    jobs.add_argument("--jobs", type=int, help="worker threads, 0 = CPU count")
+    conversion = _Parser(add_help=False)
+    conversion.add_argument("--mcep-order", type=int, help="cepstral order")
+    conversion.add_argument("--ddur-mode", choices=["voiced", "span"],
+                            help="duration definition")
 
-    p = sub.add_parser("extract-features",
-                       help="compute utterance feature vectors for a manifest")
+    def command(name, handler, help, parents=(settings,)):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("extract-features", _cmd_extract_features,
+                "compute utterance feature vectors for a manifest", (settings, jobs))
     p.add_argument("--manifest", help="corpus manifest TSV")
     p.add_argument("--out", help="output CSV (or JSON with --describe-features)")
     p.add_argument("--describe-features", action="store_true",
                    help="emit the feature index map as JSON and exit")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--jobs", type=int, help="worker threads, 0 = CPU count")
-    p.set_defaults(handler=_cmd_extract_features)
 
-    p = sub.add_parser("train-ranker", help="fit an intensity ranker for one emotion")
+    p = command("train-ranker", _cmd_train_ranker, "fit an intensity ranker for one emotion")
     p.add_argument("--features", required=True, help="feature CSV from extract-features")
     p.add_argument("--manifest", required=True, help="corpus manifest TSV")
     p.add_argument("--emotion", required=True, help="target emotion class")
     p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--c", type=float, help="objective trade-off constant")
-    p.add_argument("--n-similar", dest="n_similar", type=int,
+    p.add_argument("--c", dest="ranker_c", metavar="C", type=float,
+                   help="objective trade-off constant")
+    p.add_argument("--n-similar", type=int,
                    help="similar-pair count, 0 = half the ordered pairs")
     p.add_argument("--seed", type=int, help="pair sampling seed")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(handler=_cmd_train_ranker)
 
-    p = sub.add_parser("score-intensity", help="score feature rows with a trained model")
+    p = command("score-intensity", _cmd_score_intensity,
+                "score feature rows with a trained model")
     p.add_argument("--model", required=True, help="model JSON from train-ranker")
     p.add_argument("--features", required=True, help="feature CSV to score")
     p.add_argument("--out", required=True, help="output CSV utt_id,intensity")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(handler=_cmd_score_intensity)
 
-    p = sub.add_parser("eval-clustering", help="embedding-space separation report")
+    p = command("eval-clustering", _cmd_eval_clustering, "embedding-space separation report")
     p.add_argument("--embeddings", required=True, help="CSV id,label,d0..dN")
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(handler=_cmd_eval_clustering)
 
-    p = sub.add_parser("eval-conversion", help="MCD and duration metrics for wav pairs")
+    p = command("eval-conversion", _cmd_eval_conversion,
+                "MCD and duration metrics for wav pairs", (settings, conversion, jobs))
     p.add_argument("--pairs", required=True, help="TSV converted_wav,reference_wav")
     p.add_argument("--out", required=True, help="output report JSON")
-    p.add_argument("--mcep-order", dest="mcep_order", type=int, help="cepstral order")
-    p.add_argument("--ddur-mode", dest="ddur_mode", choices=["voiced", "span"],
-                   help="duration definition")
-    p.add_argument("--jobs", type=int, help="worker threads, 0 = CPU count")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(handler=_cmd_eval_conversion)
 
-    p = sub.add_parser("contours", help="aligned F0/energy contour CSV for one pair")
+    p = command("contours", _cmd_contours, "aligned F0/energy contour CSV for one pair",
+                (settings, conversion))
     p.add_argument("--converted", required=True, help="converted wav")
     p.add_argument("--reference", required=True, help="reference wav")
     p.add_argument("--out", required=True, help="output contour CSV")
-    p.add_argument("--mcep-order", dest="mcep_order", type=int, help="cepstral order")
-    p.add_argument("--ddur-mode", dest="ddur_mode", choices=["voiced", "span"],
-                   help="duration definition")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(handler=_cmd_contours)
 
-    p = sub.add_parser("make-manifest", help="index a speaker/emotion/*.wav tree")
+    p = command("make-manifest", _cmd_make_manifest, "index a speaker/emotion/*.wav tree")
     p.add_argument("--root", required=True, help="corpus root directory")
     p.add_argument("--out", required=True, help="output manifest TSV")
     p.add_argument("--split", default="train", choices=["train", "eval", "reference"],
                    help="split label for all rows")
-    p.add_argument("--config", help="key = value config file")
-    p.set_defaults(handler=_cmd_make_manifest)
 
-    p = sub.add_parser("synth-corpus", help="write the bundled synthetic demo corpus")
-    p.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
+    # The corpus directory and seed are not the Config keys out_dir and seed.
+    p = command("synth-corpus", _cmd_synth_corpus, "write the bundled synthetic demo corpus",
+                parents=())
+    p.add_argument("--out-dir", dest="corpus_dir", metavar="OUT_DIR", required=True,
+                   help="output directory")
     p.add_argument("--pairs", type=int, default=DEFAULT_PAIRS,
                    help="neutral/emotional utterance pairs to synthesize")
     p.add_argument("--emotion", default=DEFAULT_EMOTION, help="emotional class label")
-    p.add_argument("--seed", type=int, help="synthesis seed")
-    p.set_defaults(handler=_cmd_synth_corpus)
+    p.add_argument("--seed", dest="corpus_seed", metavar="SEED", type=int,
+                   default=DEFAULT_SEED, help="synthesis seed")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in vars(args).items() if key in CONFIG_KEYS}
     try:
-        return args.handler(args)
+        config = load_config(getattr(args, "config", None), **overrides)
+        if getattr(args, "out", None):
+            args.out = Path(config.out_dir) / args.out  # an absolute --out stays as it is
+        return args.handler(args, config)
     except EmorankError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -83,6 +83,7 @@ class Config:
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(Config)}
+CONFIG_KEYS = frozenset(_FIELD_TYPES)
 
 
 def parse_config_file(path) -> dict:

@@ -9,6 +9,7 @@ exact instead of approximate.
 from __future__ import annotations
 
 import functools
+import os
 import wave
 from dataclasses import dataclass
 
@@ -54,6 +55,9 @@ def load_wav(path) -> Waveform:
         raise UnsupportedFormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     except EOFError as exc:
         raise UnsupportedFormatError(f"{path}: truncated RIFF/WAVE file") from exc
+    except RuntimeError as exc:
+        # wave raises a bare RuntimeError when a chunk size runs past its parent chunk.
+        raise UnsupportedFormatError(f"{path}: RIFF chunk size out of range") from exc
     with reader:
         if reader.getcomptype() != "NONE":
             raise UnsupportedFormatError(f"{path}: compressed WAVE data is not supported")
@@ -67,7 +71,8 @@ def load_wav(path) -> Waveform:
             )
         sample_rate = reader.getframerate()
         declared = 2 * reader.getnframes()
-        raw = reader.readframes(reader.getnframes())
+        # A header may declare gigabytes; never ask for more than the file holds.
+        raw = reader.readframes(min(reader.getnframes(), os.path.getsize(path) // 2))
     if len(raw) % 2:
         raise UnsupportedFormatError(
             f"{path}: truncated sample data ({len(raw)} bytes is not a whole number "

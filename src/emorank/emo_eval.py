@@ -91,17 +91,23 @@ def clustering_ratio(embedding_set: EmbeddingSet) -> ClusterReport:
 
     With K classes, intra averages ||e - c_i|| over each class's own
     members and then over classes; inter averages ||e - c_j|| over all
-    j != i with weight 1 / (K * (K - 1) * N_i).  Lower is better.  One
-    member per class or coincident centroids raise DegenerateClustersError.
+    j != i with weight 1 / (K * (K - 1) * N_i).  Lower is better.  A
+    class with one member (its intra distance is 0 by construction) or
+    coincident centroids raise DegenerateClustersError.
     """
     k = embedding_set.n_classes
     if k < 2:
         raise InvalidParamsError("clustering ratio needs at least two classes")
     cents = centroids(embedding_set)
-    # Every class has a member, so k rows means one each: intra would be 0.
-    if embedding_set.labels.size == k:
+    counts = np.bincount(embedding_set.labels, minlength=k)
+    if np.all(counts == 1):
         raise DegenerateClustersError(
             "every class has one embedding; intra-class distance is zero by construction")
+    if np.any(counts == 1):
+        name = embedding_set.class_names[int(np.argmax(counts == 1))]
+        raise DegenerateClustersError(
+            f"class {name!r} has one embedding; its intra-class distance is zero "
+            "by construction")
     intra = 0.0
     inter = 0.0
     for i in range(k):

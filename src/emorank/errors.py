@@ -44,7 +44,7 @@ class SchemaVersionMismatchError(EmorankError):
 
 
 class DegenerateClustersError(EmorankError):
-    """Clusters that give no ratio: all embeddings coincide, or every class has one."""
+    """Clusters that give no ratio: all embeddings coincide, or a class has one member."""
 
 
 class InvalidDistributionError(EmorankError):

@@ -59,13 +59,23 @@ def parse_manifest(path) -> list:
 
 
 def write_manifest(entries, path) -> None:
-    """Write manifest entries with wav paths relative to the manifest."""
+    """Write manifest entries with wav paths relative to the manifest.
+
+    A field holding a tab or a line break would not read back, so it
+    raises ParseError before the file is opened.
+    """
     path = Path(path)
+    rows = [[e.utt_id, os.path.relpath(e.wav_path, path.parent), e.speaker, e.emotion,
+             e.split] for e in entries]
+    for row in rows:
+        for name, value in zip(MANIFEST_COLUMNS, row):
+            # read_table splits on str.splitlines, so only its breaks count.
+            if "\t" in value or "".join(value.splitlines()) != value:
+                raise ParseError(f"{name} {value!r} holds a tab or a line break")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\t".join(MANIFEST_COLUMNS) + "\n")
-        for e in entries:
-            wav = os.path.relpath(e.wav_path, path.parent)
-            handle.write("\t".join([e.utt_id, wav, e.speaker, e.emotion, e.split]) + "\n")
+        for row in rows:
+            handle.write("\t".join(row) + "\n")
 
 
 def scan_tree(root, split: str = "train") -> list:

@@ -9,9 +9,10 @@ import pytest
 
 from emorank.cli import main
 from emorank.config import Config, load_config, parse_config_file
-from emorank.conv_metrics import DEFAULT_MCEP_BANDS
-from emorank.dsp import save_wav
+from emorank.conv_metrics import DEFAULT_MCEP_BANDS, contour_report, write_contour_csv
+from emorank.dsp import load_wav, save_wav
 from emorank.errors import InvalidParamsError
+from emorank.features import extract_feature_vector, read_features_csv
 from emorank.manifest import ManifestEntry, parse_manifest, write_manifest
 
 FLOAT_FIELDS = [f.name for f in fields(Config) if isinstance(f.default, float)]
@@ -273,7 +274,8 @@ class TestExitCodes:
         ("u1,a,0\nu1,b,1\nu2,a,0.5\n", "emb.csv:3: duplicate id 'u1'"),
         ("u1,a,0\n,b,1\nu2,a,0.5\n", "emb.csv:3: empty id ''"),
         ("u1,a,0\nu2,b,1\n", "every class has one embedding"),
-    ], ids=["duplicate_id", "empty_id", "one_member_per_class"])
+        ("u1,a,0\nu2,b,10\nu3,b,9\nu4,b,11\n", "class 'a' has one embedding"),
+    ], ids=["duplicate_id", "empty_id", "one_member_per_class", "one_single_member_class"])
     def test_bad_embeddings_is_1(self, tmp_path, capsys, rows, message):
         emb = tmp_path / "emb.csv"
         emb.write_text("id,label,d0\n" + rows)
@@ -283,6 +285,20 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("speaker, stem", [("spk\tx", "a"), ("spk", "a\nb")],
+                             ids=["tab_in_speaker", "newline_in_stem"])
+    def test_make_manifest_unreadable_field_is_1(self, cli_corpus, tmp_path, capsys,
+                                                 speaker, stem):
+        target = tmp_path / "tree" / speaker / "happy"
+        target.mkdir(parents=True)
+        (target / f"{stem}.wav").write_bytes((cli_corpus["corpus"] / "neu000.wav").read_bytes())
+        out = tmp_path / "m.tsv"
+        capsys.readouterr()
+        assert main(["make-manifest", "--root", str(tmp_path / "tree"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "holds a tab or a line break" in err
         assert not out.exists()
 
     def test_io_error_is_2(self, tmp_path, capsys):
@@ -557,3 +573,119 @@ class TestPipeline:
         capsys.readouterr()
         for name in ("manifest.tsv", "neu000.wav", "happy001.wav"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestSettingsReachCommands:
+    """Each Config key set in a file or by its flag changes what its command computes."""
+
+    # Every flag whose value lands in a Config key, by subcommand, as load_config sees it.
+    OVERRIDES = {
+        "extract-features": (["--jobs", "3"], {"jobs": 3}),
+        "train-ranker": (["--c", "0.5", "--n-similar", "4", "--seed", "6"],
+                         {"ranker_c": 0.5, "n_similar": 4, "seed": 6}),
+        "score-intensity": ([], {}),
+        "eval-clustering": ([], {}),
+        "eval-conversion": (["--mcep-order", "12", "--ddur-mode", "span", "--jobs", "1"],
+                            {"mcep_order": 12, "ddur_mode": "span", "jobs": 1}),
+        "contours": (["--mcep-order", "12", "--ddur-mode", "span"],
+                     {"mcep_order": 12, "ddur_mode": "span"}),
+        "make-manifest": ([], {}),
+        # --out-dir and --seed name the corpus directory and seed, not Config keys.
+        "synth-corpus": (["--seed", "3"], {}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(OVERRIDES))
+    def test_flag_overrides_by_command(self, cli_corpus, cli_model, tmp_path, capsys,
+                                       monkeypatch, command):
+        seen = {}
+
+        def spy(file_path=None, **overrides):
+            seen.update({k: v for k, v in overrides.items() if v is not None})
+            raise InvalidParamsError("stop after the merge")
+
+        monkeypatch.setattr("emorank.cli.load_config", spy)
+        out = str(tmp_path / "out")
+        inputs = {
+            "extract-features": ["--manifest", str(cli_corpus["manifest"]), "--out", out],
+            "train-ranker": ["--features", str(cli_corpus["features"]), "--manifest",
+                             str(cli_corpus["manifest"]), "--emotion", "happy", "--out", out],
+            "score-intensity": ["--model", str(cli_model), "--features",
+                                str(cli_corpus["features"]), "--out", out],
+            "eval-clustering": ["--embeddings", "emb.csv", "--out", out],
+            "eval-conversion": ["--pairs", "pairs.tsv", "--out", out],
+            "contours": ["--converted", "c.wav", "--reference", "r.wav", "--out", out],
+            "make-manifest": ["--root", str(tmp_path), "--out", out],
+            "synth-corpus": ["--out-dir", out, "--pairs", "1"],
+        }[command]
+        flags, expected = self.OVERRIDES[command]
+        main([command] + inputs + flags)
+        capsys.readouterr()
+        assert seen == expected
+
+    @pytest.mark.parametrize("key, argument, value", [
+        ("lld_frame_ms", "frame_ms", 30.0),
+        ("lld_hop_ms", "hop_ms", 12.0),
+        ("pitch_fmin", "fmin", 150.0),
+        ("pitch_fmax", "fmax", 250.0),
+        ("voicing_threshold", "voicing_threshold", 0.8),
+        ("silence_rms", "silence_rms", 0.05),
+    ])
+    def test_config_reaches_extract_features(self, cli_corpus, tmp_path, capsys,
+                                             key, argument, value):
+        wav = cli_corpus["corpus"] / "happy000.wav"
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("utt_id\twav_path\tspeaker\temotion\tsplit\n"
+                            f"u0\t{wav}\tspk\thappy\ttrain\n")
+        (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+        out = tmp_path / "f.csv"
+        assert main(["extract-features", "--manifest", str(manifest), "--out", str(out),
+                     "--config", str(tmp_path / "run.cfg")]) == 0
+        capsys.readouterr()
+        waveform = load_wav(wav)
+        expected = extract_feature_vector(waveform, **{argument: value})
+        assert not np.array_equal(expected, extract_feature_vector(waveform))
+        np.testing.assert_array_equal(read_features_csv(out)[1][0], expected)
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        (["pitch_frame_ms = 30"], {"frame_ms": 30.0}),
+        (["pitch_hop_ms = 12"], {"hop_ms": 12.0}),
+        (["--mcep-order", "12"], {"mcep_order": 12}),
+        (["--ddur-mode", "span"], {"ddur_mode": "span"}),
+    ], ids=["pitch_frame_ms", "pitch_hop_ms", "mcep_order", "ddur_mode"])
+    def test_setting_reaches_contours(self, cli_corpus, tmp_path, capsys, monkeypatch,
+                                      flags, kwargs):
+        reports = []
+
+        def recording(*args, **kw):
+            reports.append(contour_report(*args, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr("emorank.cli.contour_report", recording)
+        if not flags[0].startswith("--"):
+            (tmp_path / "run.cfg").write_text(flags[0] + "\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        conv, ref = cli_corpus["corpus"] / "happy001.wav", cli_corpus["corpus"] / "neu001.wav"
+        out = tmp_path / "c.csv"
+        assert main(["contours", "--converted", str(conv), "--reference", str(ref),
+                     "--out", str(out)] + flags) == 0
+        capsys.readouterr()
+
+        def summary(report):
+            return report.mcd_db, report.ddur_s, report.n_aligned_frames, report.f0_path.tolist()
+
+        expected = contour_report(load_wav(conv), load_wav(ref), **kwargs)
+        default = contour_report(load_wav(conv), load_wav(ref))
+        assert summary(expected) != summary(default)
+        assert [summary(r) for r in reports] == [summary(expected)]
+        write_contour_csv(expected, tmp_path / "expected.csv")
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--c", "0.25"], ["--n-similar", "3"], ["--seed", "5"]],
+                             ids=["c", "n_similar", "seed"])
+    def test_flag_changes_model(self, cli_corpus, cli_model, tmp_path, capsys, flags):
+        out = tmp_path / "model.json"
+        assert main(["train-ranker", "--features", str(cli_corpus["features"]),
+                     "--manifest", str(cli_corpus["manifest"]), "--emotion", "happy",
+                     "--out", str(out)] + flags) == 0
+        capsys.readouterr()
+        assert out.read_bytes() != cli_model.read_bytes()

@@ -1,8 +1,13 @@
 """Waveform I/O, framing, and spectral analysis."""
 
 import functools
+import io
+import os
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.fft import dct, idct
 
+import emorank
 from emorank.conv_metrics import DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER, mcep
 from emorank.dsp import (
     Waveform,
@@ -27,6 +33,7 @@ from emorank.dsp import (
     save_wav,
 )
 from emorank.errors import (
+    EmorankError,
     EmptyInputError,
     InvalidParamsError,
     NonFiniteError,
@@ -103,6 +110,47 @@ class TestLoadWav:
         with pytest.raises(UnsupportedFormatError, match="500 of 1200 declared bytes"):
             load_wav(path)
 
+    def test_chunk_past_riff_end_rejected(self, tmp_path):
+        # 144 bytes whose fmt chunk declares 248: skipping it seeks past the RIFF chunk.
+        path = tmp_path / "fmt.wav"
+        _write_pcm(path, [100] * 50)
+        data = bytearray(path.read_bytes())
+        data[16:20] = struct.pack("<I", 248)
+        path.write_bytes(bytes(data))
+        assert len(data) == 144
+        with pytest.raises(UnsupportedFormatError, match="chunk size out of range"):
+            load_wav(path)
+
+    def test_gigabyte_data_size_reads_only_the_file(self, tmp_path):
+        # Asking wave for the declared 4 GB reserves a 4 GB buffer, so the load
+        # runs in a child whose address space is capped at 1 GB above its size.
+        path = tmp_path / "big.wav"
+        _write_pcm(path, [100] * 50)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 0xFFFFFFF0)
+        data[40:44] = struct.pack("<I", 0xFFFFFFE0)
+        path.write_bytes(bytes(data))
+        child = (
+            "import resource, sys\n"
+            "from emorank.dsp import load_wav\n"
+            "from emorank.errors import UnsupportedFormatError\n"
+            "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "cap = size + 2 ** 30\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    cap = min(cap, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "try:\n"
+            "    load_wav(sys.argv[1])\n"
+            "except UnsupportedFormatError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "100 of 4294967264 declared bytes" in result.stdout
+
     def test_save_round_trip(self, tmp_path):
         path = tmp_path / "rt.wav"
         x = np.sin(2 * np.pi * 220 * np.arange(1600) / 16000) * 0.5
@@ -110,6 +158,55 @@ class TestLoadWav:
         w = load_wav(path)
         assert w.samples.size == 1600
         np.testing.assert_allclose(w.samples, x, atol=1.0 / 32768.0)
+
+
+def _wav_bytes(n_frames: int, channels: int = 1, sampwidth: int = 2) -> bytes:
+    buffer = io.BytesIO()
+    with wave.open(buffer, "wb") as writer:
+        writer.setnchannels(channels)
+        writer.setsampwidth(sampwidth)
+        writer.setframerate(16000)
+        writer.writeframes(bytes(i % 251 for i in range(n_frames * channels * sampwidth)))
+    return buffer.getvalue()
+
+
+def _load_or_reject(path, data: bytes) -> None:
+    """load_wav on data fails only with a package error or an OSError."""
+    path.write_bytes(data)
+    try:
+        load_wav(path)
+    except (EmorankError, OSError):
+        pass
+
+
+class TestLoadWavFuzz:
+    """Malformed files give exit 1 or 2 from the CLI, never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(flips=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
+                          min_size=1, max_size=4))
+    def test_header_byte_flips(self, tmp_path_factory, flips):
+        data = bytearray(_wav_bytes(50))
+        for position, value in flips:
+            data[position] = value
+        _load_or_reject(tmp_path_factory.getbasetemp() / "flip.wav", bytes(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(0, 143))
+    def test_truncations(self, tmp_path_factory, length):
+        _load_or_reject(tmp_path_factory.getbasetemp() / "cut.wav", _wav_bytes(50)[:length])
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_frames=st.integers(0, 20), channels=st.integers(1, 2),
+           sampwidth=st.sampled_from([1, 2, 3]))
+    def test_sample_formats(self, tmp_path_factory, n_frames, channels, sampwidth):
+        path = tmp_path_factory.getbasetemp() / "format.wav"
+        path.write_bytes(_wav_bytes(n_frames, channels, sampwidth))
+        if (channels, sampwidth) != (1, 2) or n_frames == 0:
+            with pytest.raises(UnsupportedFormatError):
+                load_wav(path)
+        else:
+            assert load_wav(path).samples.size == n_frames
 
 
 class TestWaveform:

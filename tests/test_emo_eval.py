@@ -91,6 +91,16 @@ class TestClusteringRatio:
         with pytest.raises(InvalidParamsError):
             clustering_ratio(es)
 
+    def test_one_single_member_class_rejected(self):
+        # Class a's intra distance would be 0 by construction: ratio 0.0333, not 0.0470
+        # as with a second a at 0.5.
+        es = from_labeled(np.array([[0.0], [10.0], [9.0], [11.0]]), ["a", "b", "b", "b"])
+        with pytest.raises(DegenerateClustersError, match="class 'a' has one embedding"):
+            clustering_ratio(es)
+        two = from_labeled(np.array([[0.0], [0.5], [10.0], [9.0], [11.0]]),
+                           ["a", "a", "b", "b", "b"])
+        assert clustering_ratio(two).ratio == pytest.approx(0.0470, abs=1e-4)
+
     def test_coincident_centroids_rejected(self):
         embeddings = np.zeros((4, 2))
         es = from_labeled(embeddings, ["a", "a", "b", "b"])

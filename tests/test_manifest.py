@@ -112,6 +112,22 @@ class TestWriteManifest:
         back = parse_manifest(out)
         assert {e.utt_id: e for e in back}["u1"].wav_path == tmp_path / "wavs" / "a.wav"
 
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                                      "\u2028"])
+    @pytest.mark.parametrize("column", ["utt_id", "wav_path", "speaker"])
+    def test_field_that_would_not_read_back_rejected(self, tmp_path, column, char):
+        wav = tmp_path / ("a" + (char if column == "wav_path" else "") + ".wav")
+        _touch_wav(wav)
+        fields = {"utt_id": "u1", "wav_path": wav, "speaker": "spk"}
+        if column != "wav_path":
+            fields[column] += char
+        entries = [ManifestEntry(fields["utt_id"], fields["wav_path"], fields["speaker"],
+                                 "sad", "train")]
+        out = tmp_path / "manifest.tsv"
+        with pytest.raises(ParseError, match=f"{column} .* holds a tab or a line break"):
+            write_manifest(entries, out)
+        assert not out.exists()
+
 
 class TestScanTree:
     def test_layout_scan(self, tmp_path):
