@@ -31,6 +31,7 @@ from .emo_eval import clustering_ratio, read_embeddings_csv
 from .errors import EmorankError, EmptyInputError, InvalidParamsError
 from .features import (
     N_FEATURES,
+    check_feature_ids,
     extract_feature_vector,
     feature_index_map,
     read_features_csv,
@@ -82,13 +83,15 @@ def _cmd_extract_features(args, config: Config) -> int:
     if not args.manifest or not args.out:
         raise InvalidParamsError("--manifest and --out are required to extract features")
     entries = parse_manifest(args.manifest)
+    ids = [e.utt_id for e in entries]
+    # Reject an id the CSV cannot hold before extracting anything.
+    check_feature_ids(ids)
 
     def work(entry):
         return extract_feature_vector(load_wav(entry.wav_path), **config.lld_kwargs())
 
     vectors = _pool_map(work, entries, config.jobs)
-    write_features_csv([e.utt_id for e in entries],
-                       np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)
+    write_features_csv(ids, np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)
     print(f"wrote {len(vectors)} feature rows to {args.out}")
     return 0
 

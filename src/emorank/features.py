@@ -262,18 +262,12 @@ def feature_csv_header() -> list:
     return ["id"] + [f"f{i:03d}" for i in range(N_FEATURES)]
 
 
-def write_features_csv(ids, matrix, path) -> None:
-    """Write one CSV row `id,f000..f383` per id and row of the (n, 384) matrix.
+def check_feature_ids(ids) -> None:
+    """Raise InvalidParamsError unless the ids can key a feature CSV.
 
-    Ids must be non-empty, unique, and free of commas and line breaks, so
-    that read_features_csv reads the file back; otherwise nothing is
-    written and InvalidParamsError is raised.
+    They must be non-empty, unique, and free of commas and line breaks, so
+    that read_features_csv reads the file back.
     """
-    ids = list(ids)
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (len(ids), N_FEATURES):
-        raise DimensionMismatchError(
-            f"expected a ({len(ids)}, {N_FEATURES}) feature matrix, got {matrix.shape}")
     seen = set()
     for ident in ids:
         if not ident or "," in ident or ident.splitlines() != [ident]:
@@ -282,6 +276,20 @@ def write_features_csv(ids, matrix, path) -> None:
         if ident in seen:
             raise InvalidParamsError(f"duplicate feature id {ident!r}")
         seen.add(ident)
+
+
+def write_features_csv(ids, matrix, path) -> None:
+    """Write one CSV row `id,f000..f383` per id and row of the (n, 384) matrix.
+
+    The ids must pass check_feature_ids; otherwise nothing is written and
+    InvalidParamsError is raised.
+    """
+    ids = list(ids)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.shape != (len(ids), N_FEATURES):
+        raise DimensionMismatchError(
+            f"expected a ({len(ids)}, {N_FEATURES}) feature matrix, got {matrix.shape}")
+    check_feature_ids(ids)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(feature_csv_header()) + "\n")
         for ident, values in zip(ids, matrix):

@@ -301,6 +301,27 @@ class TestExitCodes:
         assert err.startswith("error:") and "holds a tab or a line break" in err
         assert not out.exists()
 
+    def test_comma_id_rejected_before_extracting(self, cli_corpus, tmp_path, capsys,
+                                                 monkeypatch):
+        # make-manifest accepts a comma in a file name; extract-features must
+        # refuse the id it makes before loading any audio.
+        target = tmp_path / "tree" / "spk" / "happy"
+        target.mkdir(parents=True)
+        (target / "a,b.wav").write_bytes((cli_corpus["corpus"] / "neu000.wav").read_bytes())
+        manifest = tmp_path / "m.tsv"
+        assert main(["make-manifest", "--root", str(tmp_path / "tree"),
+                     "--out", str(manifest)]) == 0
+        loads = []
+        monkeypatch.setattr("emorank.cli.load_wav", lambda path: loads.append(path))
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert main(["extract-features", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "feature id 'spk_a,b' must be non-empty without commas or line breaks" in err
+        assert loads == []
+        assert not out.exists()
+
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "f.csv")])

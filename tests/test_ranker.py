@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emorank import ranker
 from emorank.errors import (
@@ -42,6 +45,93 @@ def _two_class_pairs(shift):
     features = rng.normal(size=(20, 4))
     features[:10, 0] += shift
     return build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, seed=0)
+
+
+def _benchmark_shaped_pairs(seed):
+    # 60 emotional and 60 neutral rows of 384 correlated columns, as many
+    # as the benchmark's corpus: rank-8 structure plus noise, the emotional
+    # rows shifted along one latent direction.
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(size=(120, 8))
+    latent[:60, 0] += 1.0
+    features = latent @ rng.normal(size=(8, 384)) + 0.1 * rng.normal(size=(120, 384))
+    return build_pairs(features, ["emotional"] * 60 + ["neutral"] * 60, seed=seed)
+
+
+# Newton steps the solver took on _benchmark_shaped_pairs(0..9) when every
+# Hessian was summed from pair-difference blocks.
+BLOCKED_GRAM_ITERATIONS = [4, 5, 4, 5, 4, 4, 5, 4, 5, 4]
+
+
+def _blocked_pair_gram(xs, index_pairs, block=1024):
+    """Sum of d^T d over the rows d = xs[a] - xs[b], a block of pairs at a time.
+
+    The reference for ranker._pair_gram.
+    """
+    gram = np.zeros((xs.shape[1], xs.shape[1]))
+    for start in range(0, index_pairs.shape[0], block):
+        rows = index_pairs[start:start + block]
+        diff = xs[rows[:, 0]] - xs[rows[:, 1]]
+        gram += diff.T @ diff
+    return gram
+
+
+@st.composite
+def _gram_cases(draw):
+    # Pairs over the first `used` rows only, so the rest sit in no pair; few
+    # used rows and many pairs make repeats likely.
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 12))
+    used = draw(st.integers(2, n))
+    count = draw(st.integers(0, 200))
+    first = draw(arrays(np.int64, count, elements=st.integers(0, used - 1)))
+    step = draw(arrays(np.int64, count, elements=st.integers(1, used - 1)))
+    xs = draw(arrays(np.float64, (n, dim),
+                     elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    return xs, np.column_stack([first, (first + step) % used])
+
+
+def _gram_case(n, dim, pairs):
+    return (np.random.default_rng(n * dim).normal(size=(n, dim)),
+            np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+class TestPairGram:
+    @settings(max_examples=200, deadline=None)
+    @given(_gram_cases())
+    # 3 x 3 pairs <= 5 pairs x 2 columns: the Laplacian form, with repeats.
+    @example(_gram_case(3, 2, [[0, 1], [1, 0], [0, 1], [2, 0], [1, 2]]))
+    # 40 x 40 rows > 5 pairs x 1 column: the blocked loop, rows in no pair.
+    @example(_gram_case(40, 1, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 1]]))
+    @example(_gram_case(4, 3, []))
+    def test_matches_blocked_loop(self, case):
+        xs, pairs = case
+        got = ranker._pair_gram(xs, pairs)
+        want = _blocked_pair_gram(xs, pairs)
+        # Both forms round within a few ulps of the summed magnitudes
+        # (|x_a| + |x_b|)(|x_a| + |x_b|)^T of the terms they add.
+        mag = np.abs(xs[pairs[:, 0]]) + np.abs(xs[pairs[:, 1]])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * (mag.T @ mag))
+
+    def test_laplacian_peaks_no_higher_than_blocks_at_rule_edge(self):
+        # The largest row count that still takes the n x n Laplacian for
+        # 384 columns and more than one block of pairs.
+        n, dim = 627, 384
+        assert n * n <= ranker._GRAM_BLOCK * dim < (n + 1) ** 2
+        rng = np.random.default_rng(627)
+        xs = rng.normal(size=(n, dim))
+        first = rng.integers(0, n, 1500)
+        pairs = np.column_stack([first, (first + rng.integers(1, n, 1500)) % n])
+        peaks = []
+        for gram in (ranker._pair_gram, _blocked_pair_gram):
+            tracemalloc.start()
+            try:
+                gram(xs, pairs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestPairSets:
@@ -276,6 +366,18 @@ class TestTrainRanker:
             tracemalloc.stop()
         assert peak < 25e6
 
+    def test_matches_blocked_gram_solver_on_benchmark_shape(self, monkeypatch):
+        for seed, iterations in enumerate(BLOCKED_GRAM_ITERATIONS):
+            pairs = _benchmark_shaped_pairs(seed)
+            got = train_ranker(pairs).solver_report
+            with monkeypatch.context() as patched:
+                patched.setattr(ranker, "_pair_gram", _blocked_pair_gram)
+                want = train_ranker(pairs).solver_report
+            assert got["iterations"] == want["iterations"] == iterations
+            assert got["stop_reason"] == want["stop_reason"] == "gradient"
+            np.testing.assert_allclose(got["objective_history"], want["objective_history"],
+                                       rtol=1e-12, atol=0.0)
+
     def test_separable_classes_rank_correctly(self):
         rng = np.random.default_rng(14)
         dim = 384
@@ -304,6 +406,22 @@ class TestTrainRanker:
             sb = score(model_b, features[i] * 3.0 + 7.0)
             assert sa == pytest.approx(sb, abs=1e-9)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           arrays(np.float64, 5, elements=st.floats(0.1, 10.0)),
+           arrays(np.float64, 5, elements=st.floats(-100.0, 100.0)))
+    def test_scores_invariant_under_column_scale_and_shift(self, seed, scale, shift):
+        # Scales stay well above STD_FLOOR, so standardization undoes them.
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(30, 5))
+        features[:15, 1] += 2.0
+        moved = features * scale + shift
+        labels = ["emotional"] * 15 + ["neutral"] * 15
+        model_a = train_ranker(build_pairs(features, labels, seed=1), c=1.0)
+        model_b = train_ranker(build_pairs(moved, labels, seed=1), c=1.0)
+        for row, moved_row in zip(features, moved):
+            assert score(model_a, row) == pytest.approx(score(model_b, moved_row), abs=1e-9)
+
     def test_no_ordered_pairs_rejected(self):
         pairs = PairSets(np.empty((0, 2)), np.array([[0, 1]]), np.zeros((2, 2)))
         with pytest.raises(NoOrderedPairsError):
@@ -323,6 +441,11 @@ class TestTrainRanker:
     def test_non_finite_c_rejected(self, c):
         with pytest.raises(InvalidParamsError, match="positive and finite"):
             train_ranker(_toy_pairs(), c=c)
+
+    @pytest.mark.parametrize("grad_tol", [-1e-6, np.nan, np.inf])
+    def test_bad_grad_tol_rejected(self, grad_tol):
+        with pytest.raises(InvalidParamsError, match="grad_tol must be non-negative and finite"):
+            train_ranker(_toy_pairs(), grad_tol=grad_tol)
 
 
 class TestScore:
