@@ -125,12 +125,22 @@ def power_spectrogram(frames: np.ndarray) -> np.ndarray:
     """
     frame_len = frames.shape[1]
     n_fft = next_pow2(frame_len)
-    window = np.hanning(frame_len)
-    spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
-    power = (spectrum.real ** 2 + spectrum.imag ** 2) / n_fft
+    spectrum = np.fft.rfft(frames * _hann_window(frame_len), n=n_fft, axis=1)
+    # Two real arrays, where (re**2 + im**2) / n_fft allocated four.
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    power /= n_fft
     # n_fft is even or 1, so the last bin is Nyquist or DC.
     power[:, 1:-1] *= 2.0
     return power
+
+
+@functools.lru_cache(maxsize=32)
+def _hann_window(frame_len: int) -> np.ndarray:
+    """np.hanning(frame_len), cached and shared, so read-only."""
+    window = np.hanning(frame_len)
+    window.flags.writeable = False
+    return window
 
 
 def hz_to_mel(hz):

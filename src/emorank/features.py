@@ -47,12 +47,13 @@ N_FEATURES = 2 * len(LLD_COLUMNS) * len(FUNCTIONAL_NAMES)
 
 @dataclass(eq=False)
 class F0Contour:
-    """Per-frame F0 (0 Hz marks unvoiced frames) and peak normalized autocorrelation."""
+    """Per-frame F0 (0 Hz marks unvoiced frames), peak normalized autocorrelation and RMS."""
 
     f0_hz: np.ndarray
     voiced: np.ndarray
     frame_shift_s: float
     peak: np.ndarray
+    rms: np.ndarray
 
 
 def frame_rms(frames: np.ndarray) -> np.ndarray:
@@ -100,11 +101,12 @@ def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
     if not 0.0 < fmin < fmax:
         raise InvalidParamsError("need 0 < fmin < fmax")
     n_frames, frame_len = frames.shape
+    rms = frame_rms(frames)
     lag_min = max(2, int(np.floor(sample_rate / fmax)))
     lag_max = min(int(np.ceil(sample_rate / fmin)), frame_len - 1)
     if lag_max <= lag_min:
         return F0Contour(np.zeros(n_frames), np.zeros(n_frames, dtype=bool),
-                         hop / sample_rate, np.zeros(n_frames))
+                         hop / sample_rate, np.zeros(n_frames), rms)
     corr = autocorr_matrix(frames, lag_min, lag_max)
     peak = corr.max(axis=1)
     rows = np.arange(n_frames)
@@ -128,8 +130,8 @@ def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
     lag_star[interior] += np.clip(shift, -0.5, 0.5)
 
     f0 = np.clip(sample_rate / lag_star, fmin, fmax)
-    voiced = (peak >= voicing_threshold) & (frame_rms(frames) >= silence_rms)
-    return F0Contour(np.where(voiced, f0, 0.0), voiced, hop / sample_rate, peak)
+    voiced = (peak >= voicing_threshold) & (rms >= silence_rms)
+    return F0Contour(np.where(voiced, f0, 0.0), voiced, hop / sample_rate, peak, rms)
 
 
 def energy_contour(frames: np.ndarray, sample_rate: int) -> np.ndarray:
@@ -161,7 +163,7 @@ def compute_llds(waveform: Waveform,
     hnr = np.clip(10.0 * np.log10(safe / (1.0 - safe)), -HNR_LIMIT_DB, HNR_LIMIT_DB)
 
     mfcc = mel_cepstrum(power_spectrogram(x), N_MEL_FILTERS, sr)[:, 1 : N_MFCC + 1]
-    return np.column_stack([frame_zcr(x), frame_rms(x), pitch.f0_hz, hnr, mfcc])
+    return np.column_stack([frame_zcr(x), pitch.rms, pitch.f0_hz, hnr, mfcc])
 
 
 def delta(x: np.ndarray) -> np.ndarray:

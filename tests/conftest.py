@@ -5,6 +5,8 @@ import pytest
 
 from emorank.dsp import Waveform, frame
 from emorank.features import (
+    DEFAULT_LLD_FRAME_MS,
+    DEFAULT_LLD_HOP_MS,
     DEFAULT_PITCH_FRAME_MS,
     DEFAULT_PITCH_HOP_MS,
     extract_feature_vector,
@@ -43,6 +45,20 @@ def mini_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpus")
     manifest_path = generate_mini_corpus(root)
     return parse_manifest(manifest_path)
+
+
+@pytest.fixture(scope="session")
+def corpus_frames(mini_corpus, framed):
+    """(frames, sample_rate) of every corpus utterance at the LLD and the pitch framing."""
+    from emorank.dsp import load_wav
+
+    cuts = []
+    for entry in mini_corpus:
+        waveform = load_wav(entry.wav_path)
+        for frame_ms, hop_ms in ((DEFAULT_LLD_FRAME_MS, DEFAULT_LLD_HOP_MS),
+                                 (DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS)):
+            cuts.append(framed(waveform, frame_ms, hop_ms)[:2])
+    return cuts
 
 
 @pytest.fixture(scope="session")

@@ -272,7 +272,27 @@ class TestFrame:
             frame(w, 4, 0)
 
 
+def _power_spectrogram_expr(frames):
+    """power_spectrogram as whole-array expressions, the bitwise reference."""
+    frame_len = frames.shape[1]
+    n_fft = next_pow2(frame_len)
+    spectrum = np.fft.rfft(frames * np.hanning(frame_len), n=n_fft, axis=1)
+    power = (spectrum.real ** 2 + spectrum.imag ** 2) / n_fft
+    power[:, 1:-1] *= 2.0
+    return power
+
+
 class TestPowerSpectrogram:
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 40), st.integers(1, 700)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))))
+    def test_bitwise_equals_expression(self, frames):
+        assert power_spectrogram(frames).tobytes() == _power_spectrogram_expr(frames).tobytes()
+
+    def test_bitwise_on_corpus_framings(self, corpus_frames):
+        for frames, _ in corpus_frames:
+            assert power_spectrogram(frames).tobytes() == _power_spectrogram_expr(frames).tobytes()
+
     def test_silence_is_zero(self):
         np.testing.assert_array_equal(power_spectrogram(np.zeros((3, 64))),
                                       np.zeros((3, 33)))

@@ -1,11 +1,29 @@
 """The NumPy kernels against loop references kept here."""
 
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import irfft, next_fast_len, rfft
 
 from emorank import kernels
+from emorank.conv_metrics import ddur
+from emorank.dsp import Waveform
+from emorank.errors import InvalidParamsError
+from emorank.features import (
+    DEFAULT_F0_MAX_HZ,
+    DEFAULT_F0_MIN_HZ,
+    DEFAULT_LLD_FRAME_MS,
+    DEFAULT_LLD_HOP_MS,
+    DEFAULT_PITCH_FRAME_MS,
+    DEFAULT_PITCH_HOP_MS,
+    compute_llds,
+    frame_rms,
+    pitch_contour,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -39,6 +57,60 @@ def _autocorr_direct(frames, lag_min, lag_max):
         denoms[:, k] = np.sqrt(prefix[:, frame_len - tau] * (total - prefix[:, tau]))
         np.divide(num, denoms[:, k], out=out[:, k], where=denoms[:, k] > 0.0)
     return out, denoms
+
+
+def _autocorr_blocks(frames, lag_min, lag_max):
+    """autocorr_matrix as every step ran per 32-frame block, the bitwise reference."""
+    n_frames, frame_len = frames.shape
+    out = np.zeros((n_frames, lag_max - lag_min + 1))
+    padded = np.zeros((min(n_frames, 32), next_fast_len(frame_len + lag_max, real=True)))
+    for lo in range(0, n_frames, 32):
+        hi = min(lo + 32, n_frames)
+        padded[: hi - lo, :frame_len] = frames[lo:hi]
+        _autocorr_block(frames[lo:hi], padded[: hi - lo], lag_min, lag_max, out[lo:hi])
+    return out
+
+
+def _autocorr_block(frames, padded, lag_min, lag_max, out):
+    n_frames, frame_len = frames.shape
+    prefix = np.zeros((n_frames, frame_len + 1))
+    np.cumsum(frames * frames, axis=1, out=prefix[:, 1:])
+    total = prefix[:, frame_len:]
+    head = prefix[:, frame_len - lag_max : frame_len - lag_min + 1][:, ::-1]
+    tail = total - prefix[:, lag_min : lag_max + 1]
+    denom = np.sqrt(head * tail)
+    live = denom > 0.0
+
+    spectrum = rfft(padded, axis=1)
+    spectrum *= spectrum.conj()
+    num = irfft(spectrum, n=padded.shape[1], axis=1, overwrite_x=True)
+    np.divide(num[:, lag_min : lag_max + 1], denom, out=out, where=live)
+
+    err = np.zeros_like(out)
+    np.divide(64 * EPS * total, denom, out=err, where=live)
+    rows = np.arange(n_frames)
+    top = out.argmax(axis=1)
+    near = out + err >= (out[rows, top] - err[rows, top])[:, None]
+    near &= (np.count_nonzero(near, axis=1) > 1)[:, None]
+    near_rows, near_lags = np.nonzero(near & live)
+    for k in np.unique(near_lags):
+        f = near_rows[near_lags == k]
+        tau = lag_min + k
+        num = np.einsum("ij,ij->i", frames[f, : frame_len - tau], frames[f, tau:])
+        out[f, k] = num / denom[f, k]
+
+
+def _assert_autocorr_bitwise(frames, lag_min, lag_max):
+    got = kernels.autocorr_matrix(frames, lag_min, lag_max)
+    ref = _autocorr_blocks(frames, lag_min, lag_max)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def _pitch_lags(sample_rate, frame_len):
+    """The lag range pitch_contour asks of the kernel at the default F0 range."""
+    return (max(2, int(np.floor(sample_rate / DEFAULT_F0_MAX_HZ))),
+            min(int(np.ceil(sample_rate / DEFAULT_F0_MIN_HZ)), frame_len - 1))
 
 
 class TestNumpyKernels:
@@ -97,6 +169,15 @@ class TestNumpyKernels:
         np.testing.assert_allclose(kernels.autocorr_matrix(frames, 40, 267), ref,
                                    rtol=0.0, atol=1e-13)
 
+    @pytest.mark.parametrize("lag_min, lag_max", [(60, 50), (-1, 10), (40, 105), (10, 100)])
+    def test_autocorr_rejects_lag_range(self, lag_min, lag_max):
+        with pytest.raises(InvalidParamsError, match="lag_min"):
+            kernels.autocorr_matrix(np.ones((5, 100)), lag_min, lag_max)
+
+    def test_autocorr_bitwise_on_corpus_framings(self, corpus_frames):
+        for frames, sr in corpus_frames:
+            _assert_autocorr_bitwise(frames, *_pitch_lags(sr, frames.shape[1]))
+
 
 @st.composite
 def _costs(draw, elements):
@@ -113,6 +194,38 @@ def _autocorr_cases(draw):
     lag_min = draw(st.integers(0, lag_max))
     samples = st.floats(-1.0, 1.0, allow_subnormal=False)
     frames = draw(arrays(np.float64, (n_frames, frame_len), elements=samples))
+    return frames, lag_min, lag_max
+
+
+_ROW_KINDS = ("noise", "zero", "lead_zeros", "trail_zeros", "periodic", "sine")
+
+
+@st.composite
+def _autocorr_oracle_cases(draw):
+    """Frame matrices across block edges with silent, padded and exactly periodic rows."""
+    n_frames = draw(st.sampled_from([1, 31, 32, 33, 65]))
+    frame_len = draw(st.integers(2, 64))
+    lag_max = draw(st.one_of(st.just(frame_len - 1), st.integers(0, frame_len - 1)))
+    lag_min = draw(st.one_of(st.just(0), st.integers(0, lag_max)))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=n_frames, max_size=n_frames))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.uniform(-1.0, 1.0, (n_frames, frame_len))
+    n = np.arange(frame_len)
+    for row, kind in zip(frames, kinds):
+        cut = int(rng.integers(0, frame_len + 1))
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "lead_zeros":
+            row[:cut] = 0.0
+        elif kind == "trail_zeros":
+            row[cut:] = 0.0
+        elif kind == "periodic":
+            # Small dyadic values: the per-lag sums are exact, so multiples
+            # of the period tie exactly.
+            period = int(rng.integers(1, frame_len + 1))
+            row[:] = np.resize(rng.integers(-4, 5, period) / 4.0, frame_len)
+        elif kind == "sine":
+            row[:] = np.sin(2.0 * np.pi * n / rng.integers(2, frame_len + 1))
     return frames, lag_min, lag_max
 
 
@@ -140,3 +253,69 @@ class TestKernelProperties:
         bound = kernels.PEAK_ULPS * EPS * total / np.where(live, denoms, 1.0)
         assert np.all(np.abs(got - ref)[live] <= bound[live])
         np.testing.assert_array_equal(got.argmax(axis=1), ref.argmax(axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_autocorr_oracle_cases())
+    @example((np.zeros((33, 40)), 0, 39))
+    @example((np.tile(np.array([1.0, 0.0, -1.0, 0.0]), (65, 16)), 0, 63))
+    def test_autocorr_bitwise_equals_blocked_oracle(self, case):
+        _assert_autocorr_bitwise(*case)
+
+
+def _edge_signals():
+    """Waveforms by name that the front end must take without a warning."""
+    t = np.arange(16000) / 16000.0
+    tone = 0.5 * np.sin(2.0 * np.pi * 180.0 * t)
+    signals = {
+        "silence": Waveform(np.zeros(16000), 16000),
+        "dc_offset": Waveform(np.full(16000, 0.25), 16000),
+        "dc_plus_tone": Waveform(0.3 + tone, 16000),
+        "clipped": Waveform(np.clip(4.0 * tone, -1.0, 1.0), 16000),
+        "one_frame": Waveform(tone[:640], 16000),
+        "shorter_than_frame": Waveform(tone[:100], 16000),
+    }
+    for sr in (8000, 48000):
+        ts = np.arange(sr) / sr
+        signals[f"tone_{sr}"] = Waveform(0.5 * np.sin(2.0 * np.pi * 180.0 * ts), sr)
+    return signals
+
+
+EDGE_SIGNALS = _edge_signals()
+
+
+class TestEdgeSignals:
+    """The pitch tracker, LLDs and DDUR on edge signals, and the kernel on their frames."""
+
+    @pytest.mark.parametrize("name", EDGE_SIGNALS)
+    def test_front_end_quiet_and_in_range(self, name, framed):
+        waveform = EDGE_SIGNALS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for frame_ms, hop_ms in ((DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS),
+                                     (DEFAULT_LLD_FRAME_MS, DEFAULT_LLD_HOP_MS)):
+                frames, sr, hop = framed(waveform, frame_ms, hop_ms)
+                _assert_autocorr_bitwise(frames, *_pitch_lags(sr, frames.shape[1]))
+                contour = pitch_contour(frames, sr, hop)
+                f0 = contour.f0_hz
+                assert np.all((f0 == 0.0) | ((f0 >= DEFAULT_F0_MIN_HZ) & (f0 <= DEFAULT_F0_MAX_HZ)))
+                np.testing.assert_array_equal(contour.voiced, f0 > 0.0)
+                assert ddur(contour, contour) == 0.0
+                assert ddur(contour, contour, mode="span") == 0.0
+            llds = compute_llds(waveform)
+        assert np.all(np.isfinite(llds))
+        # compute_llds reads the RMS the tracker computed on the LLD framing.
+        lld_frames = framed(waveform, DEFAULT_LLD_FRAME_MS, DEFAULT_LLD_HOP_MS)[0]
+        np.testing.assert_array_equal(llds[:, 1], frame_rms(lld_frames))
+
+    @pytest.mark.parametrize("name", ["tone_8000", "tone_48000"])
+    def test_tone_tracked_at_other_rates(self, name, framed):
+        contour = pitch_contour(*framed(EDGE_SIGNALS[name]))
+        assert contour.voiced.mean() > 0.9
+        assert np.max(np.abs(contour.f0_hz[contour.voiced] - 180.0)) < 1.0
+
+    def test_silence_unvoiced_and_dc_not_silent(self, framed):
+        silent = pitch_contour(*framed(EDGE_SIGNALS["silence"]))
+        assert not silent.voiced.any()
+        np.testing.assert_array_equal(silent.rms, 0.0)
+        dc = pitch_contour(*framed(EDGE_SIGNALS["dc_offset"]))
+        np.testing.assert_allclose(dc.rms, 0.25, rtol=1e-12)

@@ -91,6 +91,9 @@ def _gram_cases(draw):
     return xs, np.column_stack([first, (first + step) % used])
 
 
+TINY = np.finfo(np.float64).tiny
+
+
 def _gram_case(n, dim, pairs):
     return (np.random.default_rng(n * dim).normal(size=(n, dim)),
             np.array(pairs, dtype=np.int64).reshape(-1, 2))
@@ -104,15 +107,22 @@ class TestPairGram:
     # 40 x 40 rows > 5 pairs x 1 column: the blocked loop, rows in no pair.
     @example(_gram_case(40, 1, [[0, 1], [1, 2], [2, 3], [3, 0], [0, 1]]))
     @example(_gram_case(4, 3, []))
+    # Products of the smallest normal double underflow: the two forms
+    # differ by one subnormal where the relative bound is 0.
+    @example((np.array([[TINY, TINY], [1e-6, TINY], [TINY, TINY]]),
+              np.array([[0, 2], [2, 1], [0, 2], [0, 2], [1, 0]])))
     def test_matches_blocked_loop(self, case):
         xs, pairs = case
         got = ranker._pair_gram(xs, pairs)
         want = _blocked_pair_gram(xs, pairs)
         # Both forms round within a few ulps of the summed magnitudes
-        # (|x_a| + |x_b|)(|x_a| + |x_b|)^T of the terms they add.
+        # (|x_a| + |x_b|)(|x_a| + |x_b|)^T of the terms they add, plus half
+        # a subnormal for each product that underflows: one per pair in
+        # the blocked loop, one per row in Xᵀ(L X).
         mag = np.abs(xs[pairs[:, 0]]) + np.abs(xs[pairs[:, 1]])
+        underflow = (len(pairs) + len(xs)) * np.finfo(np.float64).smallest_subnormal
         assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * (mag.T @ mag))
+        assert np.all(np.abs(got - want) <= 1e-12 * (mag.T @ mag) + underflow)
 
     def test_laplacian_peaks_no_higher_than_blocks_at_rule_edge(self):
         # The largest row count that still takes the n x n Laplacian for
