@@ -141,11 +141,10 @@ def _cmd_score_intensity(args, config: Config) -> int:
 
 
 def _cmd_eval_clustering(args, config: Config) -> int:
-    embedding_set = read_embeddings_csv(args.embeddings)
-    report = clustering_ratio(embedding_set)
+    report = clustering_ratio(*read_embeddings_csv(args.embeddings))
     payload = {
         "generated_at": _timestamp(),
-        "class_names": list(embedding_set.class_names),
+        "class_names": list(report.class_names),
         "centroids": [[float(v) for v in row] for row in report.centroids],
         "dist_inter": report.dist_inter,
         "dist_intra": report.dist_intra,

@@ -1,8 +1,9 @@
 """Run configuration: defaults, key = value config files, flag overrides.
 
-Config files are flat `key = value` lines with # comments.  Keys must be
-Config field names; unknown keys are rejected so typos fail loudly.
-Values on the command line override the file, which overrides defaults.
+Config files are flat UTF-8 `key = value` lines with # comments.  Keys
+must be Config field names; unknown keys are rejected so typos fail
+loudly.  Values on the command line override the file, which overrides
+defaults.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .conv_metrics import DDUR_MODES, DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, ParseError
 from .features import (DEFAULT_F0_MAX_HZ, DEFAULT_F0_MIN_HZ, DEFAULT_LLD_FRAME_MS,
                        DEFAULT_LLD_HOP_MS, DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS,
                        DEFAULT_SILENCE_RMS, DEFAULT_VOICING_THRESHOLD)
@@ -89,7 +90,10 @@ CONFIG_KEYS = frozenset(_FIELD_TYPES)
 def parse_config_file(path) -> dict:
     """Read `key = value` lines into a dict of typed values."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -48,17 +48,6 @@ COST_BLOCK_ROWS = 16
 
 
 @dataclass(eq=False)
-class AlignmentPath:
-    """Monotone index pairs from (0, 0) to (n-1, m-1) plus total cost."""
-
-    pairs: np.ndarray
-    total_cost: float
-
-    def __len__(self) -> int:
-        return self.pairs.shape[0]
-
-
-@dataclass(eq=False)
 class EvaluationReport:
     """Per-pair conversion metrics with aligned prosody contours."""
 
@@ -94,12 +83,14 @@ def _as_sequence(x) -> np.ndarray:
     return arr
 
 
-def dtw_align(a, b) -> AlignmentPath:
-    """Dynamic time warping with steps (1,0), (0,1), (1,1).
+def dtw_align(a, b) -> tuple:
+    """Dynamic time warping with steps (1,0), (0,1), (1,1): (pairs, total cost).
 
-    Ties during backtracking prefer the diagonal step, then advancing the
-    first sequence.  The cost of a cell is the Euclidean norm of the
-    difference of its two frame vectors.
+    pairs is the (path length, 2) int64 array of monotone index pairs from
+    (0, 0) to (n-1, m-1); the total is the summed cost along it.  Ties
+    during backtracking prefer the diagonal step, then advancing the first
+    sequence.  The cost of a cell is the Euclidean norm of the difference
+    of its two frame vectors.
     """
     a = _as_sequence(a)
     b = _as_sequence(b)
@@ -131,7 +122,7 @@ def dtw_align(a, b) -> AlignmentPath:
                 j -= 1
         path.append((i, j))
     path.reverse()
-    return AlignmentPath(np.array(path, dtype=np.int64), float(table[-1, -1]))
+    return np.array(path, dtype=np.int64), float(table[-1, -1])
 
 
 def mcd(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,7 +136,7 @@ def mcd(a: np.ndarray, b: np.ndarray) -> float:
     ca = a[:, 1:]
     cb = b[:, 1:]
     n_coeff = ca.shape[1]
-    path = dtw_align(ca, cb).pairs
+    path, _ = dtw_align(ca, cb)
     diff = ca[path[:, 0]] - cb[path[:, 1]]
     per_frame = MCD_ALPHA / n_coeff * np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return float(per_frame.mean())
@@ -153,9 +144,10 @@ def mcd(a: np.ndarray, b: np.ndarray) -> float:
 
 def _voiced_duration_s(contour: F0Contour, mode: str) -> float:
     hop_s = contour.frame_shift_s
+    voiced = contour.f0_hz > 0.0
     if mode == "voiced":
-        return float(contour.voiced.sum()) * hop_s
-    where = np.flatnonzero(contour.voiced)
+        return float(voiced.sum()) * hop_s
+    where = np.flatnonzero(voiced)
     if where.size == 0:
         return 0.0
     return float(where[-1] - where[0] + 1) * hop_s
@@ -208,7 +200,7 @@ def contour_report(converted: Waveform, reference: Waveform,
     f0_conv, en_conv = _prosody(converted, *pitch_args)
     f0_ref, en_ref = _prosody(reference, *pitch_args)
 
-    f0_path = dtw_align(f0_conv.f0_hz, f0_ref.f0_hz)
+    f0_path, _ = dtw_align(f0_conv.f0_hz, f0_ref.f0_hz)
     distortion = mcd(mcep(converted, order=mcep_order), mcep(reference, order=mcep_order))
     duration_gap = ddur(f0_conv, f0_ref, mode=ddur_mode)
 
@@ -220,7 +212,7 @@ def contour_report(converted: Waveform, reference: Waveform,
         f0_ref=f0_ref.f0_hz,
         energy_conv=en_conv,
         energy_ref=en_ref,
-        f0_path=f0_path.pairs,
+        f0_path=f0_path,
     )
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DegenerateClustersError,
     DimensionMismatchError,
-    EmptyClassError,
     InvalidDistributionError,
     InvalidParamsError,
     NonFiniteError,
@@ -29,97 +28,68 @@ PROB_SUM_TOL = 1e-6
 
 
 @dataclass(eq=False)
-class EmbeddingSet:
-    """Labelled embedding matrix: one row per utterance."""
-
-    embeddings: np.ndarray
-    labels: np.ndarray
-    class_names: tuple
-
-    def __post_init__(self) -> None:
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.class_names = tuple(self.class_names)
-        if self.embeddings.ndim != 2 or self.embeddings.shape[0] == 0:
-            raise InvalidParamsError("embeddings must be a non-empty 2-D matrix")
-        if not np.all(np.isfinite(self.embeddings)):
-            raise NonFiniteError("embeddings contain non-finite values")
-        if self.labels.shape != (self.embeddings.shape[0],):
-            raise DimensionMismatchError("need one label per embedding row")
-        if len(set(self.class_names)) != len(self.class_names) or not self.class_names:
-            raise InvalidParamsError("class names must be unique and non-empty")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
-            raise InvalidParamsError("label index out of range")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
-
-
-@dataclass(eq=False)
 class ClusterReport:
-    """Centroids plus the inter/intra distances and their ratio."""
+    """Class names sorted, their centroids, the inter/intra distances and their ratio."""
 
+    class_names: tuple
     centroids: np.ndarray
     dist_inter: float
     dist_intra: float
     ratio: float
 
 
-def from_labeled(embeddings: np.ndarray, label_strings) -> EmbeddingSet:
-    """Build an EmbeddingSet from string labels, classes sorted by name."""
-    label_strings = [str(l) for l in label_strings]
-    names = tuple(sorted(set(label_strings)))
-    index = {name: i for i, name in enumerate(names)}
-    labels = np.array([index[l] for l in label_strings], dtype=np.int64)
-    return EmbeddingSet(np.asarray(embeddings, dtype=np.float64), labels, names)
-
-
-def centroids(embedding_set: EmbeddingSet) -> np.ndarray:
-    """Per-class mean embedding; every class must have members."""
-    out = np.empty((embedding_set.n_classes, embedding_set.embeddings.shape[1]))
-    for i, name in enumerate(embedding_set.class_names):
-        rows = embedding_set.embeddings[embedding_set.labels == i]
-        if rows.shape[0] == 0:
-            raise EmptyClassError(f"class {name!r} has no embeddings")
-        out[i] = rows.mean(axis=0)
-    return out
-
-
-def clustering_ratio(embedding_set: EmbeddingSet) -> ClusterReport:
+def clustering_ratio(embeddings: np.ndarray, labels) -> ClusterReport:
     """Mean intra-centroid distance over mean inter-centroid distance.
 
+    embeddings holds one row per utterance and labels one class label per
+    row; the classes are the distinct labels as strings, sorted by name.
     With K classes, intra averages ||e - c_i|| over each class's own
     members and then over classes; inter averages ||e - c_j|| over all
     j != i with weight 1 / (K * (K - 1) * N_i).  Lower is better.  A
     class with one member (its intra distance is 0 by construction) or
-    coincident centroids raise DegenerateClustersError.
+    coincident centroids raise DegenerateClustersError; finite embeddings
+    whose centroids or mean distances overflow raise NonFiniteError.
     """
-    k = embedding_set.n_classes
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = [str(l) for l in labels]
+    if embeddings.ndim != 2 or embeddings.shape[0] == 0:
+        raise InvalidParamsError("embeddings must be a non-empty 2-D matrix")
+    if not np.all(np.isfinite(embeddings)):
+        raise NonFiniteError("embeddings contain non-finite values")
+    if len(labels) != embeddings.shape[0]:
+        raise DimensionMismatchError("need one label per embedding row")
+    names = tuple(sorted(set(labels)))
+    k = len(names)
     if k < 2:
         raise InvalidParamsError("clustering ratio needs at least two classes")
-    cents = centroids(embedding_set)
-    counts = np.bincount(embedding_set.labels, minlength=k)
+    index = {name: i for i, name in enumerate(names)}
+    codes = np.array([index[l] for l in labels], dtype=np.int64)
+    counts = np.bincount(codes, minlength=k)
     if np.all(counts == 1):
         raise DegenerateClustersError(
             "every class has one embedding; intra-class distance is zero by construction")
     if np.any(counts == 1):
-        name = embedding_set.class_names[int(np.argmax(counts == 1))]
+        name = names[int(np.argmax(counts == 1))]
         raise DegenerateClustersError(
             f"class {name!r} has one embedding; its intra-class distance is zero "
             "by construction")
+    members = [embeddings[codes == i] for i in range(k)]
     intra = 0.0
     inter = 0.0
-    for i in range(k):
-        rows = embedding_set.embeddings[embedding_set.labels == i]
-        dists = np.linalg.norm(rows[:, None, :] - cents[None, :, :], axis=2)
-        intra += dists[:, i].mean()
-        inter += (dists.sum(axis=1) - dists[:, i]).mean()
-    intra /= k
-    inter /= k * (k - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cents = np.array([rows.mean(axis=0) for rows in members])
+        for i, rows in enumerate(members):
+            dists = np.linalg.norm(rows[:, None, :] - cents[None, :, :], axis=2)
+            intra += dists[:, i].mean()
+            inter += (dists.sum(axis=1) - dists[:, i]).mean()
+        intra /= k
+        inter /= k * (k - 1)
+    if not (np.all(np.isfinite(cents)) and np.isfinite(intra) and np.isfinite(inter)):
+        raise NonFiniteError(
+            "class centroids or mean distances overflow float64; rescale the embeddings")
     if inter == 0.0:
         raise DegenerateClustersError("all embeddings coincide; inter-class distance is zero")
-    return ClusterReport(cents, float(inter), float(intra), float(intra / inter))
+    return ClusterReport(names, cents, float(inter), float(intra), float(intra / inter))
 
 
 def emotion_classification_loss(target_onehot: np.ndarray, probs: np.ndarray) -> float:
@@ -158,8 +128,8 @@ def _embedding_columns(n_fields: int) -> tuple:
     return ("id", "label") + tuple(f"d{i}" for i in range(max(n_fields - 2, 1)))
 
 
-def read_embeddings_csv(path) -> EmbeddingSet:
-    """Read labelled embeddings from CSV rows `id,label,d0..dN`; ids non-empty and unique."""
+def read_embeddings_csv(path) -> tuple:
+    """Read CSV rows `id,label,d0..dN` as (embeddings, labels); ids non-empty and unique."""
     rows = {}
     for lineno, (ident, label, *values) in read_table(path, ",", _embedding_columns):
         if not ident or ident in rows:
@@ -168,4 +138,4 @@ def read_embeddings_csv(path) -> EmbeddingSet:
     if not rows:
         raise ParseError(f"{path}: no embedding rows")
     labels, vectors = zip(*rows.values())
-    return from_labeled(np.array(vectors), labels)
+    return np.array(vectors), list(labels)

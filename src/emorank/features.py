@@ -50,7 +50,6 @@ class F0Contour:
     """Per-frame F0 (0 Hz marks unvoiced frames), peak normalized autocorrelation and RMS."""
 
     f0_hz: np.ndarray
-    voiced: np.ndarray
     frame_shift_s: float
     peak: np.ndarray
     rms: np.ndarray
@@ -96,7 +95,8 @@ def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
 
     A frame is voiced when its best normalized autocorrelation in the lag
     range for [fmin, fmax] reaches voicing_threshold and its RMS reaches
-    silence_rms.  Unvoiced frames carry f0 = 0.
+    silence_rms.  Voiced frames carry f0 in [fmin, fmax], so f0 > 0 marks
+    them; unvoiced frames carry f0 = 0.
     """
     if not 0.0 < fmin < fmax:
         raise InvalidParamsError("need 0 < fmin < fmax")
@@ -105,8 +105,7 @@ def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
     lag_min = max(2, int(np.floor(sample_rate / fmax)))
     lag_max = min(int(np.ceil(sample_rate / fmin)), frame_len - 1)
     if lag_max <= lag_min:
-        return F0Contour(np.zeros(n_frames), np.zeros(n_frames, dtype=bool),
-                         hop / sample_rate, np.zeros(n_frames), rms)
+        return F0Contour(np.zeros(n_frames), hop / sample_rate, np.zeros(n_frames), rms)
     corr = autocorr_matrix(frames, lag_min, lag_max)
     peak = corr.max(axis=1)
     rows = np.arange(n_frames)
@@ -131,7 +130,7 @@ def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
 
     f0 = np.clip(sample_rate / lag_star, fmin, fmax)
     voiced = (peak >= voicing_threshold) & (rms >= silence_rms)
-    return F0Contour(np.where(voiced, f0, 0.0), voiced, hop / sample_rate, peak, rms)
+    return F0Contour(np.where(voiced, f0, 0.0), hop / sample_rate, peak, rms)
 
 
 def energy_contour(frames: np.ndarray, sample_rate: int) -> np.ndarray:

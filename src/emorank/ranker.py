@@ -204,7 +204,8 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
     """Fit ranking weights by Newton iterations on the squared-slack objective.
 
     Features are z-scored (per-column std floored at 1e-8) unless
-    standardize is False.  Iterations stop when the gradient norm falls to
+    standardize is False; a column whose mean, std or z-scores overflow
+    raises NonFiniteError.  Iterations stop when the gradient norm falls to
     grad_tol, after max_iter accepted steps, or when backtracking finds no
     step that passes the Armijo test (converged stays False); the solver
     report names which as stop_reason ("gradient", "max_iter" or
@@ -224,13 +225,20 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
         raise NoOrderedPairsError("training needs at least one ordered pair")
 
     n_rows, dim = x.shape
-    if standardize:
-        mean = x.mean(axis=0)
-        std = np.maximum(x.std(axis=0), STD_FLOOR)
-    else:
-        mean = np.zeros(dim)
-        std = np.ones(dim)
-    xs = (x - mean) / std
+    with np.errstate(over="ignore", invalid="ignore"):
+        if standardize:
+            mean = x.mean(axis=0)
+            std = np.maximum(x.std(axis=0), STD_FLOOR)
+        else:
+            mean = np.zeros(dim)
+            std = np.ones(dim)
+        xs = (x - mean) / std
+    bad = ~(np.isfinite(mean) & np.isfinite(std) & np.isfinite(xs).all(axis=0))
+    if bad.any():
+        col = int(np.argmax(bad))
+        raise NonFiniteError(
+            f"feature column {col} overflows float64 when standardized "
+            f"(mean {float(mean[col])!r}, std {float(std[col])!r})")
     (oa, ob), (sa, sb) = pairs.ordered.T, pairs.similar.T
     # The similar pairs' Hessian term does not depend on w.
     hess_fixed = np.eye(dim) + 2.0 * c * _pair_gram(xs, pairs.similar)
@@ -342,6 +350,9 @@ def load_model(path) -> RankingModel:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if not isinstance(payload, dict) or payload.get("version") != MODEL_SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
             f"{path}: expected schema version {MODEL_SCHEMA_VERSION}, "

@@ -1,8 +1,8 @@
 """Delimited text tables: the manifest, pairs TSV, feature CSV and embeddings CSV.
 
-A table is a header line of column names, then one row per line with as
-many fields as the header.  Blank lines are skipped.  Every error names
-the file and line as `path:line: ...`.
+A table is UTF-8 text: a header line of column names, then one row per
+line with as many fields as the header.  Blank lines are skipped.  Every
+error names the file and line as `path:line: ...`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ def read_table(path, sep: str, columns):
     sets.  Rows are checked one at a time as they are yielded, so an error
     names the first bad line whatever is wrong with it.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     header = lines[0].split(sep) if lines else []
     expected = list(columns(len(header)) if callable(columns) else columns)
     if header != expected:

@@ -1,12 +1,17 @@
 """Command line workflows, exit codes, config parsing, and output formats."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emorank
 from emorank.cli import main
 from emorank.config import Config, load_config, parse_config_file
 from emorank.conv_metrics import DEFAULT_MCEP_BANDS, contour_report, write_contour_csv
@@ -275,7 +280,10 @@ class TestExitCodes:
         ("u1,a,0\n,b,1\nu2,a,0.5\n", "emb.csv:3: empty id ''"),
         ("u1,a,0\nu2,b,1\n", "every class has one embedding"),
         ("u1,a,0\nu2,b,10\nu3,b,9\nu4,b,11\n", "class 'a' has one embedding"),
-    ], ids=["duplicate_id", "empty_id", "one_member_per_class", "one_single_member_class"])
+        # Finite values whose squared centroid distances overflow float64.
+        ("u1,a,0\nu2,a,1e200\nu3,b,5e200\nu4,b,6e200\n", "mean distances overflow"),
+    ], ids=["duplicate_id", "empty_id", "one_member_per_class", "one_single_member_class",
+            "overflowing_distances"])
     def test_bad_embeddings_is_1(self, tmp_path, capsys, rows, message):
         emb = tmp_path / "emb.csv"
         emb.write_text("id,label,d0\n" + rows)
@@ -322,11 +330,74 @@ class TestExitCodes:
         assert loads == []
         assert not out.exists()
 
+    def test_overflowing_feature_column_is_1(self, cli_corpus, tmp_path, capsys):
+        # Column f007 holds finite values of +-1e308, whose std overflows.
+        lines = cli_corpus["features"].read_text().splitlines()
+        for row in range(1, len(lines)):
+            fields = lines[row].split(",")
+            fields[8] = repr((-1.0) ** row * 1e308)
+            lines[row] = ",".join(fields)
+        features = tmp_path / "huge.csv"
+        features.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        code = main(["train-ranker", "--features", str(features),
+                     "--manifest", str(cli_corpus["manifest"]),
+                     "--emotion", "happy", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feature column 7 overflows" in err
+        assert not out.exists()
+
     def test_io_error_is_2(self, tmp_path, capsys):
         code = main(["extract-features", "--manifest", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "f.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("io error:")
+
+
+def _run_cli(*argv) -> subprocess.CompletedProcess:
+    """emorank's command line in a child process, stderr captured as text."""
+    env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "emorank.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestNonUtf8Input:
+    """A text input holding bytes that are not UTF-8 exits 1 and names the file."""
+
+    @staticmethod
+    def _assert_rejected(result, path):
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(f"error: {path}: not UTF-8 text")
+
+    def test_manifest_table(self, cli_corpus, tmp_path):
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_bytes(cli_corpus["manifest"].read_bytes() + b"neu\xff\tx.wav\n")
+        out = tmp_path / "f.csv"
+        result = _run_cli("extract-features", "--manifest", manifest, "--out", out)
+        self._assert_rejected(result, manifest)
+        assert not out.exists()
+
+    def test_config_file(self, cli_corpus, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seed = 3  # caf\xe9\n")
+        out = tmp_path / "model.json"
+        result = _run_cli("train-ranker", "--config", config, "--features",
+                          cli_corpus["features"], "--manifest", cli_corpus["manifest"],
+                          "--emotion", "happy", "--out", out)
+        self._assert_rejected(result, config)
+        assert not out.exists()
+
+    def test_model_json(self, cli_corpus, cli_model, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_bytes(cli_model.read_bytes().replace(b'"happy"', b'"h\xffppy"'))
+        out = tmp_path / "scores.csv"
+        result = _run_cli("score-intensity", "--model", model,
+                          "--features", cli_corpus["features"], "--out", out)
+        self._assert_rejected(result, model)
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

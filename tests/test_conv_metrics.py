@@ -50,16 +50,17 @@ class TestDtwAlign:
     def test_identical_sequences_diagonal(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(12, 3))
-        path = dtw_align(x, x)
-        assert path.total_cost == 0.0
-        np.testing.assert_array_equal(path.pairs[:, 0], np.arange(12))
-        np.testing.assert_array_equal(path.pairs[:, 1], np.arange(12))
+        pairs, total = dtw_align(x, x)
+        assert total == 0.0
+        np.testing.assert_array_equal(pairs[:, 0], np.arange(12))
+        np.testing.assert_array_equal(pairs[:, 1], np.arange(12))
 
     def test_path_is_valid_walk(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(9, 2))
         b = rng.normal(size=(14, 2))
-        pairs = dtw_align(a, b).pairs
+        pairs, _ = dtw_align(a, b)
+        assert pairs.dtype == np.int64
         assert tuple(pairs[0]) == (0, 0)
         assert tuple(pairs[-1]) == (8, 13)
         steps = set(map(tuple, np.diff(pairs, axis=0)))
@@ -71,18 +72,18 @@ class TestDtwAlign:
             n, m = rng.integers(1, 7, size=2)
             a = rng.normal(size=(int(n), 2))
             b = rng.normal(size=(int(m), 2))
-            path = dtw_align(a, b)
+            pairs, total = dtw_align(a, b)
             diff = a[:, None, :] - b[None, :, :]
             cost = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            assert path.total_cost == pytest.approx(brute_force_dtw(cost), abs=1e-9)
-            walked = cost[path.pairs[:, 0], path.pairs[:, 1]].sum()
-            assert walked == pytest.approx(path.total_cost, abs=1e-9)
+            assert total == pytest.approx(brute_force_dtw(cost), abs=1e-9)
+            walked = cost[pairs[:, 0], pairs[:, 1]].sum()
+            assert walked == pytest.approx(total, abs=1e-9)
 
     def test_one_dimensional_input(self):
-        path = dtw_align([0.0, 1.0, 2.0], [0.0, 2.0])
-        assert tuple(path.pairs[0]) == (0, 0)
-        assert tuple(path.pairs[-1]) == (2, 1)
-        assert path.total_cost == 1.0
+        pairs, total = dtw_align([0.0, 1.0, 2.0], [0.0, 2.0])
+        assert tuple(pairs[0]) == (0, 0)
+        assert tuple(pairs[-1]) == (2, 1)
+        assert total == 1.0
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(EmptyInputError):
@@ -177,7 +178,7 @@ class TestDdur:
         # frames are 1.9655 s, not 1.970 s.
         tone = pitch_contour(*framed(sine(hz=150.0, dur_s=2.0, sr=22050)))
         silence = pitch_contour(*framed(Waveform(np.zeros(22050), 22050)))
-        assert tone.voiced.sum() == 197
+        assert np.count_nonzero(tone.f0_hz) == 197
         assert ddur(tone, silence) == pytest.approx(197 * 220 / 22050, abs=1e-12)
 
     def test_bad_mode_rejected(self, sine, framed):

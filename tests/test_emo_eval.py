@@ -2,20 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from emorank.emo_eval import (
-    EmbeddingSet,
-    centroids,
     clustering_ratio,
     emotion_classification_loss,
     emotion_similarity_loss,
-    from_labeled,
     read_embeddings_csv,
 )
 from emorank.errors import (
     DegenerateClustersError,
     DimensionMismatchError,
-    EmptyClassError,
     InvalidDistributionError,
     InvalidParamsError,
     NonFiniteError,
@@ -26,24 +24,34 @@ from emorank.errors import (
 def _two_cluster_set():
     # class a at (-1,0),(1,0); class b at (3,0),(5,0)
     embeddings = np.array([[-1.0, 0.0], [1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
-    return from_labeled(embeddings, ["a", "a", "b", "b"])
+    return embeddings, ["a", "a", "b", "b"]
 
 
 class TestFromLabeled:
+    """Classes derived from the labels: distinct strings, sorted by name."""
+
     def test_sorted_class_names(self):
-        es = from_labeled(np.zeros((3, 2)), ["z", "a", "z"])
-        assert es.class_names == ("a", "z")
-        np.testing.assert_array_equal(es.labels, [1, 0, 1])
+        embeddings = np.array([[9.0, 0.0], [0.0, 0.0], [7.0, 0.0], [1.0, 0.0]])
+        report = clustering_ratio(embeddings, ["z", "a", "z", "a"])
+        assert report.class_names == ("a", "z")
+        np.testing.assert_array_equal(report.centroids, [[0.5, 0.0], [8.0, 0.0]])
+
+    def test_trailing_nul_is_its_own_class(self):
+        # np.unique on a string array would strip the NUL and merge the classes.
+        embeddings = np.array([[0.0], [1.0], [10.0], [11.0]])
+        report = clustering_ratio(embeddings, ["a", "a", "a\x00", "a\x00"])
+        assert report.class_names == ("a", "a\x00")
+        assert report.ratio == pytest.approx(0.05)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            from_labeled(np.zeros((3, 2)), ["a", "b"])
+            clustering_ratio(np.zeros((3, 2)), ["a", "b"])
 
 
 class TestClusteringRatio:
     def test_hand_computed_value(self):
         # centroids (0,0) and (4,0); intra = 1, inter = 4
-        report = clustering_ratio(_two_cluster_set())
+        report = clustering_ratio(*_two_cluster_set())
         assert report.dist_intra == 1.0
         assert report.dist_inter == 4.0
         assert report.ratio == 0.25
@@ -57,16 +65,16 @@ class TestClusteringRatio:
         near[n:, 0] += 2.0
         far = base.copy()
         far[n:, 0] += 10.0
-        r_near = clustering_ratio(from_labeled(near, labels)).ratio
-        r_far = clustering_ratio(from_labeled(far, labels)).ratio
+        r_near = clustering_ratio(near, labels).ratio
+        r_far = clustering_ratio(far, labels).ratio
         assert r_far < r_near
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(1)
         embeddings = rng.normal(size=(30, 4))
         labels = ["a", "b", "c"] * 10
-        r0 = clustering_ratio(from_labeled(embeddings, labels)).ratio
-        r1 = clustering_ratio(from_labeled(embeddings + 13.5, labels)).ratio
+        r0 = clustering_ratio(embeddings, labels).ratio
+        r1 = clustering_ratio(embeddings + 13.5, labels).ratio
         assert r1 == pytest.approx(r0, abs=1e-9)
 
     def test_rotation_invariance(self):
@@ -74,62 +82,104 @@ class TestClusteringRatio:
         embeddings = rng.normal(size=(30, 4))
         labels = ["a", "b", "c"] * 10
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        r0 = clustering_ratio(from_labeled(embeddings, labels)).ratio
-        r1 = clustering_ratio(from_labeled(embeddings @ q, labels)).ratio
+        r0 = clustering_ratio(embeddings, labels).ratio
+        r1 = clustering_ratio(embeddings @ q, labels).ratio
         assert r1 == pytest.approx(r0, abs=1e-9)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         embeddings = rng.normal(size=(20, 3))
         labels = ["a", "b"] * 10
-        r0 = clustering_ratio(from_labeled(embeddings, labels)).ratio
-        r1 = clustering_ratio(from_labeled(embeddings * 7.25, labels)).ratio
+        r0 = clustering_ratio(embeddings, labels).ratio
+        r1 = clustering_ratio(embeddings * 7.25, labels).ratio
         assert r1 == pytest.approx(r0, abs=1e-9)
 
     def test_single_class_rejected(self):
-        es = from_labeled(np.zeros((4, 2)), ["a"] * 4)
         with pytest.raises(InvalidParamsError):
-            clustering_ratio(es)
+            clustering_ratio(np.zeros((4, 2)), ["a"] * 4)
 
     def test_one_single_member_class_rejected(self):
         # Class a's intra distance would be 0 by construction: ratio 0.0333, not 0.0470
         # as with a second a at 0.5.
-        es = from_labeled(np.array([[0.0], [10.0], [9.0], [11.0]]), ["a", "b", "b", "b"])
         with pytest.raises(DegenerateClustersError, match="class 'a' has one embedding"):
-            clustering_ratio(es)
-        two = from_labeled(np.array([[0.0], [0.5], [10.0], [9.0], [11.0]]),
-                           ["a", "a", "b", "b", "b"])
-        assert clustering_ratio(two).ratio == pytest.approx(0.0470, abs=1e-4)
+            clustering_ratio(np.array([[0.0], [10.0], [9.0], [11.0]]), ["a", "b", "b", "b"])
+        two = clustering_ratio(np.array([[0.0], [0.5], [10.0], [9.0], [11.0]]),
+                               ["a", "a", "b", "b", "b"])
+        assert two.ratio == pytest.approx(0.0470, abs=1e-4)
 
     def test_coincident_centroids_rejected(self):
-        embeddings = np.zeros((4, 2))
-        es = from_labeled(embeddings, ["a", "a", "b", "b"])
         with pytest.raises(DegenerateClustersError):
-            clustering_ratio(es)
+            clustering_ratio(np.zeros((4, 2)), ["a", "a", "b", "b"])
 
     def test_three_class_report_shape(self):
         rng = np.random.default_rng(4)
         embeddings = rng.normal(size=(60, 5))
         embeddings[20:40, 0] += 6.0
         embeddings[40:, 1] += 6.0
-        report = clustering_ratio(from_labeled(embeddings, ["a"] * 20 + ["b"] * 20 + ["c"] * 20))
+        report = clustering_ratio(embeddings, ["a"] * 20 + ["b"] * 20 + ["c"] * 20)
+        assert report.class_names == ("a", "b", "c")
         assert report.centroids.shape == (3, 5)
         assert 0.0 < report.ratio < 1.0
 
+    @pytest.mark.parametrize("embeddings", [
+        [[0.0, 0.0], [0.0, 1e200], [5e200, 0.0], [5e200, 1.0]],
+        [[1e308], [1e308], [0.0], [1.0]],
+    ], ids=["distances", "centroid"])
+    def test_overflow_rejected(self, embeddings):
+        # Finite rows whose centroids or distances overflow: no NaN ratio, no warning.
+        with pytest.raises(NonFiniteError, match="overflow"):
+            clustering_ratio(np.array(embeddings), ["neutral", "neutral", "happy", "happy"])
+
+
+@st.composite
+def _clusters(draw):
+    """(embeddings, class index per row): 2-4 classes of 2-4 rows each.
+
+    Coordinates are quarter integers, so class sums are exact in any order
+    and so are the centroids; two ratios of the same clusters can differ
+    only in the order their non-negative distances are summed.
+    """
+    k = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 3))
+    codes = np.repeat(np.arange(k), draw(st.lists(st.integers(2, 4), min_size=k, max_size=k)))
+    coord = st.integers(-400, 400).map(lambda v: v / 4.0)
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                         min_size=codes.size, max_size=codes.size))
+    return np.array(rows), codes
+
+
+class TestClusteringProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_clusters(), st.data())
+    def test_invariant_to_row_order_and_class_names(self, clusters, data):
+        embeddings, codes = clusters
+        k = int(codes.max()) + 1
+        # Names drawn with a NUL among the characters, renamed by a permutation,
+        # which changes the sorted class order whenever it is not the identity.
+        names = data.draw(st.lists(st.text("ab\x00z", max_size=3), min_size=k, max_size=k,
+                                   unique=True), label="names")
+        renamed = data.draw(st.permutations(names), label="renamed")
+        order = np.array(data.draw(st.permutations(range(codes.size)), label="order"))
+        try:
+            first = clustering_ratio(embeddings, [names[c] for c in codes])
+        except DegenerateClustersError:
+            assume(False)
+        second = clustering_ratio(embeddings[order], [renamed[c] for c in codes[order]])
+        for got, want in ((second.ratio, first.ratio), (second.dist_intra, first.dist_intra),
+                          (second.dist_inter, first.dist_inter)):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestEmbeddingSet:
+    """clustering_ratio's checks on the embedding matrix."""
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidParamsError):
-            EmbeddingSet(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ())
+            clustering_ratio(np.zeros((0, 2)), [])
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
-            from_labeled(np.array([[np.nan, 0.0]]), ["a"])
-
-    def test_empty_class_rejected_at_centroids(self):
-        es = EmbeddingSet(np.zeros((2, 2)), np.array([0, 0]), ("a", "b"))
-        with pytest.raises(EmptyClassError):
-            centroids(es)
+            clustering_ratio(np.array([[np.nan, 0.0]]), ["a"])
 
 
 class TestClassificationLoss:
@@ -189,10 +239,9 @@ class TestEmbeddingsCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "emb.csv"
         path.write_text("id,label,d0,d1\nu1,a,1.5,-2.5\nu2,b,0.25,0.75\n")
-        es = read_embeddings_csv(path)
-        assert es.class_names == ("a", "b")
-        np.testing.assert_array_equal(es.embeddings, [[1.5, -2.5], [0.25, 0.75]])
-        np.testing.assert_array_equal(es.labels, [0, 1])
+        embeddings, labels = read_embeddings_csv(path)
+        assert labels == ["a", "b"]
+        np.testing.assert_array_equal(embeddings, [[1.5, -2.5], [0.25, 0.75]])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "emb.csv"

@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 from emorank.dsp import Waveform
 from emorank.errors import DimensionMismatchError, InvalidParamsError, ParseError
 from emorank.features import (
+    DEFAULT_SILENCE_RMS,
+    DEFAULT_VOICING_THRESHOLD,
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
     N_FEATURES,
@@ -89,6 +91,32 @@ def _zcr_sign_product(frames):
     signs = np.where(frames >= 0.0, 1.0, -1.0)
     flips = np.sum(signs[:, 1:] * signs[:, :-1] < 0.0, axis=1)
     return flips / (frames.shape[1] - 1)
+
+
+# At 8 kHz the default F0 range spans lags 20..134, so frames of 22 samples
+# or more leave at least two lags to search.
+VOICING_SR = 8000
+
+
+def _voicing_rule(contour, voicing_threshold, silence_rms):
+    """The frames pitch_contour's docstring calls voiced, from its peak and RMS."""
+    return (contour.peak >= voicing_threshold) & (contour.rms >= silence_rms)
+
+
+@st.composite
+def _voicing_cases(draw):
+    """(frames, voicing_threshold, silence_rms): noise rows and exactly periodic rows."""
+    rows = draw(st.integers(1, 6))
+    frame_len = draw(st.integers(22, 200))
+    frames = draw(arrays(np.float64, (rows, frame_len), elements=st.one_of(
+        st.just(0.0), st.floats(-1.0, 1.0, allow_subnormal=False))))
+    period = draw(st.integers(20, 60))
+    periodic = draw(arrays(bool, rows))
+    reps = -(-frame_len // period)
+    frames[periodic] = np.tile(frames[periodic, :period], reps)[:, :frame_len]
+    voicing_threshold = draw(st.floats(0.0, 1.0, exclude_min=True))
+    silence_rms = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    return frames, voicing_threshold, silence_rms
 
 
 @st.composite
@@ -172,13 +200,12 @@ class TestPitch:
     @pytest.mark.parametrize("hz", [100.0, 220.0, 330.0, 395.0])
     def test_sine_accuracy(self, sine, hz, framed):
         contour = pitch_contour(*framed(sine(hz=hz, amp=0.6)))
-        voiced = contour.f0_hz[contour.voiced]
+        voiced = contour.f0_hz[contour.f0_hz > 0.0]
         assert voiced.size > 50
         assert np.max(np.abs(voiced - hz)) < 0.5
 
     def test_silence_unvoiced(self, framed):
         contour = pitch_contour(*framed(Waveform(np.zeros(8000), 16000)))
-        assert not contour.voiced.any()
         np.testing.assert_array_equal(contour.f0_hz, 0.0)
 
     def test_silent_prefix_unvoiced(self, sine, framed):
@@ -186,13 +213,13 @@ class TestPitch:
         w = Waveform(np.concatenate([np.zeros(8000), tone]), 16000)
         contour = pitch_contour(*framed(w))
         # frames fully inside the 8000-sample prefix start at <= 7360
-        assert not contour.voiced[:46].any()
-        assert contour.voiced[50:80].all()
+        assert not contour.f0_hz[:46].any()
+        assert contour.f0_hz[50:80].all()
 
     def test_amplitude_invariance(self, sine, framed):
         a = pitch_contour(*framed(sine(amp=0.6)))
         b = pitch_contour(*framed(sine(amp=0.3)))
-        np.testing.assert_array_equal(a.voiced, b.voiced)
+        np.testing.assert_array_equal(a.f0_hz > 0.0, b.f0_hz > 0.0)
         assert np.max(np.abs(a.f0_hz - b.f0_hz)) < 0.1
 
     @settings(max_examples=200, deadline=None)
@@ -209,7 +236,19 @@ class TestPitch:
         tone = sine(dur_s=0.4).samples
         w = Waveform(np.concatenate([tone, np.zeros(4000), tone]), 16000)
         contour = pitch_contour(*framed(w))
-        np.testing.assert_array_equal(contour.voiced, contour.f0_hz > 0.0)
+        voiced = contour.f0_hz > 0.0
+        assert voiced.any() and not voiced.all()
+        np.testing.assert_array_equal(voiced, _voicing_rule(
+            contour, DEFAULT_VOICING_THRESHOLD, DEFAULT_SILENCE_RMS))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_voicing_cases())
+    def test_f0_positive_exactly_where_voiced(self, case):
+        frames, voicing_threshold, silence_rms = case
+        contour = pitch_contour(frames, VOICING_SR, 80, voicing_threshold=voicing_threshold,
+                                silence_rms=silence_rms)
+        np.testing.assert_array_equal(contour.f0_hz > 0.0,
+                                      _voicing_rule(contour, voicing_threshold, silence_rms))
 
 
 class TestLlds:

@@ -20,6 +20,8 @@ from emorank.features import (
     DEFAULT_LLD_HOP_MS,
     DEFAULT_PITCH_FRAME_MS,
     DEFAULT_PITCH_HOP_MS,
+    DEFAULT_SILENCE_RMS,
+    DEFAULT_VOICING_THRESHOLD,
     compute_llds,
     frame_rms,
     pitch_contour,
@@ -298,7 +300,9 @@ class TestEdgeSignals:
                 contour = pitch_contour(frames, sr, hop)
                 f0 = contour.f0_hz
                 assert np.all((f0 == 0.0) | ((f0 >= DEFAULT_F0_MIN_HZ) & (f0 <= DEFAULT_F0_MAX_HZ)))
-                np.testing.assert_array_equal(contour.voiced, f0 > 0.0)
+                np.testing.assert_array_equal(
+                    f0 > 0.0, (contour.peak >= DEFAULT_VOICING_THRESHOLD)
+                    & (contour.rms >= DEFAULT_SILENCE_RMS))
                 assert ddur(contour, contour) == 0.0
                 assert ddur(contour, contour, mode="span") == 0.0
             llds = compute_llds(waveform)
@@ -310,12 +314,13 @@ class TestEdgeSignals:
     @pytest.mark.parametrize("name", ["tone_8000", "tone_48000"])
     def test_tone_tracked_at_other_rates(self, name, framed):
         contour = pitch_contour(*framed(EDGE_SIGNALS[name]))
-        assert contour.voiced.mean() > 0.9
-        assert np.max(np.abs(contour.f0_hz[contour.voiced] - 180.0)) < 1.0
+        voiced = contour.f0_hz > 0.0
+        assert voiced.mean() > 0.9
+        assert np.max(np.abs(contour.f0_hz[voiced] - 180.0)) < 1.0
 
     def test_silence_unvoiced_and_dc_not_silent(self, framed):
         silent = pitch_contour(*framed(EDGE_SIGNALS["silence"]))
-        assert not silent.voiced.any()
+        assert not silent.f0_hz.any()
         np.testing.assert_array_equal(silent.rms, 0.0)
         dc = pitch_contour(*framed(EDGE_SIGNALS["dc_offset"]))
         np.testing.assert_allclose(dc.rms, 0.25, rtol=1e-12)

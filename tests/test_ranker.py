@@ -443,6 +443,20 @@ class TestTrainRanker:
         with pytest.raises(NonFiniteError):
             train_ranker(pairs)
 
+    @pytest.mark.parametrize("column, message", [
+        (np.array([1e308, -1e308, 1e308, -1e308]), "mean 0.0, std inf"),
+        (np.full(4, 1e308), "mean inf"),
+    ], ids=["std", "mean"])
+    def test_overflowing_column_named(self, column, message):
+        # Finite features whose standardization overflows stop before any Newton step.
+        features = np.array([[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, 1.0, 0.0],
+                             [0.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 3.0]])
+        features[:, 2] = column
+        features[:, 3] = 1e308
+        pairs = PairSets(np.array([[1, 0], [3, 2]]), np.array([[0, 2]]), features)
+        with pytest.raises(NonFiniteError, match=f"feature column 2 overflows.*{message}"):
+            train_ranker(pairs)
+
     def test_bad_c_rejected(self):
         with pytest.raises(InvalidParamsError):
             train_ranker(_toy_pairs(), c=0.0)
