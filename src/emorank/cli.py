@@ -131,7 +131,7 @@ def _cmd_score_intensity(args, config: Config) -> int:
     model = load_model(args.model)
     ids, matrix = read_features_csv(args.features)
     # Score every row before opening --out, so a failure leaves no file.
-    scores = [score(model, row) for row in matrix]
+    scores = score(model, matrix).tolist()
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("utt_id,intensity\n")
         for ident, value in zip(ids, scores):

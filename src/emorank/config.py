@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .conv_metrics import DDUR_MODES, DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER
-from .errors import InvalidParamsError, ParseError
+from .errors import InvalidParamsError
 from .features import (DEFAULT_F0_MAX_HZ, DEFAULT_F0_MIN_HZ, DEFAULT_LLD_FRAME_MS,
                        DEFAULT_LLD_HOP_MS, DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS,
                        DEFAULT_SILENCE_RMS, DEFAULT_VOICING_THRESHOLD)
 from .ranker import DEFAULT_C
+from .tables import read_text
 
 
 @dataclass
@@ -90,11 +90,7 @@ CONFIG_KEYS = frozenset(_FIELD_TYPES)
 def parse_config_file(path) -> dict:
     """Read `key = value` lines into a dict of typed values."""
     values = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

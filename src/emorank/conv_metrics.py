@@ -128,18 +128,16 @@ def dtw_align(a, b) -> tuple:
 def mcd(a: np.ndarray, b: np.ndarray) -> float:
     """Mean Mel cepstral distortion in dB over the DTW-aligned path, c0 excluded.
 
-    a and b hold cepstra c0..order, one row per frame.
+    a and b hold cepstra c0..order, one row per frame.  The alignment's
+    total cost already sums the per-frame distances along the path.
     """
     if a.shape[1] != b.shape[1]:
         raise OrderMismatchError(
             f"cepstral orders differ: {a.shape[1] - 1} vs {b.shape[1] - 1}")
     ca = a[:, 1:]
     cb = b[:, 1:]
-    n_coeff = ca.shape[1]
-    path, _ = dtw_align(ca, cb)
-    diff = ca[path[:, 0]] - cb[path[:, 1]]
-    per_frame = MCD_ALPHA / n_coeff * np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return float(per_frame.mean())
+    path, total = dtw_align(ca, cb)
+    return float(MCD_ALPHA / ca.shape[1] * total / len(path))
 
 
 def _voiced_duration_s(contour: F0Contour, mode: str) -> float:

@@ -36,6 +36,7 @@ from .errors import (
     ParseError,
     SchemaVersionMismatchError,
 )
+from .tables import read_text
 
 DEFAULT_C = 1.0
 DEFAULT_MAX_ITER = 200
@@ -144,11 +145,11 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
     return PairSets(ordered, similar, features)
 
 
-def _value(w: np.ndarray, s: np.ndarray, pairs: PairSets, c: float) -> float:
-    """Objective at w, given the per-row scores s of the matrix the pairs index."""
+def _value(w: np.ndarray, s: np.ndarray, pairs: PairSets, c: float) -> tuple:
+    """Objective at w and its hinge and similar terms, from the per-row scores s."""
     hinge = np.maximum(0.0, 1.0 - (s[pairs.ordered[:, 0]] - s[pairs.ordered[:, 1]]))
     sim = s[pairs.similar[:, 0]] - s[pairs.similar[:, 1]]
-    return float(0.5 * (w @ w) + c * (hinge @ hinge + sim @ sim))
+    return float(0.5 * (w @ w) + c * (hinge @ hinge + sim @ sim)), hinge, sim
 
 
 def objective(w: np.ndarray, pairs: PairSets, c: float = DEFAULT_C) -> float:
@@ -160,7 +161,7 @@ def objective(w: np.ndarray, pairs: PairSets, c: float = DEFAULT_C) -> float:
         )
     if not 0.0 < c < np.inf:
         raise InvalidParamsError(f"c must be positive and finite, got {c!r}")
-    return _value(w, pairs.features @ w, pairs, c)
+    return _value(w, pairs.features @ w, pairs, c)[0]
 
 
 def _pair_gram(xs: np.ndarray, index_pairs: np.ndarray) -> np.ndarray:
@@ -190,6 +191,19 @@ def _pair_gram(xs: np.ndarray, index_pairs: np.ndarray) -> np.ndarray:
         diff = xs[block[:, 0]] - xs[block[:, 1]]
         gram += diff.T @ diff
     return gram
+
+
+def _standardized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """(x - mean) / std; NonFiniteError names the first column that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = (x - mean) / std
+    bad = ~(np.isfinite(mean) & np.isfinite(std) & np.isfinite(xs).all(axis=0))
+    if bad.any():
+        col = int(np.argmax(bad))
+        raise NonFiniteError(
+            f"feature column {col} overflows float64 when standardized "
+            f"(mean {float(mean[col])!r}, std {float(std[col])!r})")
+    return xs
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -226,34 +240,22 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
 
     n_rows, dim = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        if standardize:
-            mean = x.mean(axis=0)
-            std = np.maximum(x.std(axis=0), STD_FLOOR)
-        else:
-            mean = np.zeros(dim)
-            std = np.ones(dim)
-        xs = (x - mean) / std
-    bad = ~(np.isfinite(mean) & np.isfinite(std) & np.isfinite(xs).all(axis=0))
-    if bad.any():
-        col = int(np.argmax(bad))
-        raise NonFiniteError(
-            f"feature column {col} overflows float64 when standardized "
-            f"(mean {float(mean[col])!r}, std {float(std[col])!r})")
+        mean = x.mean(axis=0) if standardize else np.zeros(dim)
+        std = np.maximum(x.std(axis=0), STD_FLOOR) if standardize else np.ones(dim)
+    xs = _standardized(x, mean, std)
     (oa, ob), (sa, sb) = pairs.ordered.T, pairs.similar.T
     # The similar pairs' Hessian term does not depend on w.
     hess_fixed = np.eye(dim) + 2.0 * c * _pair_gram(xs, pairs.similar)
 
     def value_at(wv: np.ndarray) -> tuple:
         s = xs @ wv
-        return _value(wv, s, pairs, c), s
+        return (*_value(wv, s, pairs, c), s)
 
     w = np.zeros(dim)
-    value, s = value_at(w)
+    value, hinge, sim, s = value_at(w)
     history = [value]
     steps = 0
     while True:
-        hinge = np.maximum(0.0, 1.0 - (s[oa] - s[ob]))
-        sim = s[sa] - s[sb]
         # Each pair term's derivative lands on its two rows' scores with
         # opposite signs; xs^T maps the per-row sum back to weight space.
         coef = (np.bincount(ob, hinge, n_rows) - np.bincount(oa, hinge, n_rows)
@@ -272,8 +274,8 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
         slope = float(grad @ direction)
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            candidate, s_candidate = value_at(w + step * direction)
-            if candidate <= value + _ARMIJO_C1 * step * slope:
+            trial = value_at(w + step * direction)
+            if trial[0] <= value + _ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
         else:
@@ -281,7 +283,7 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
             stop_reason = "line_search"
             break
         w = w + step * direction
-        value, s = candidate, s_candidate
+        value, hinge, sim, s = trial
         history.append(value)
         steps += 1
 
@@ -297,31 +299,33 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
                         float(s.min()), float(s.max()), report)
 
 
-def score(model: RankingModel, x: np.ndarray) -> float:
-    """Intensity of one feature vector in [0, 1].
+def score(model: RankingModel, x: np.ndarray) -> np.ndarray:
+    """Intensities in [0, 1] of the rows of an (n, d) feature matrix.
 
-    The raw score w.(x - mean)/std is mapped so the training minimum hits
-    0 and the maximum hits 1, clamping anything outside that range.  A
-    degenerate range (all training scores equal) maps everything to 0.5.
+    Raw scores are the standardized matrix times the weights, the product
+    training took attr_min and attr_max from, so the training matrix scores
+    exactly 0.0 and 1.0 at its extremes.  Raw scores map affinely onto that
+    range, clamped outside it; a degenerate range maps every row to 0.5.  A
+    column or raw score that overflows raises NonFiniteError.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.weights.shape:
+    if x.ndim != 2 or x.shape[1:] != model.weights.shape:
         raise DimensionMismatchError(
-            f"expected vector of shape {model.weights.shape}, got {x.shape}"
-        )
-    raw = float(model.weights @ ((x - model.feature_mean) / model.feature_std))
+            f"expected vector of shape {model.weights.shape} per row, got shape {x.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = _standardized(x, model.feature_mean, model.feature_std) @ model.weights
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise NonFiniteError(f"raw score of row {bad[0]} overflows float64")
     span = model.attr_max - model.attr_min
     if span <= 0.0:
-        return 0.5
-    return float(np.clip((raw - model.attr_min) / span, 0.0, 1.0))
+        return np.full(raw.shape, 0.5)
+    with np.errstate(over="ignore"):
+        return np.clip((raw - model.attr_min) / span, 0.0, 1.0)
 
 
 def save_model(model: RankingModel, path) -> None:
     """Serialize a model as JSON; floats round-trip exactly."""
-    report = dict(model.solver_report)
-    report["grad_norm"] = float(report.get("grad_norm", 0.0))
-    report["final_objective"] = float(report.get("final_objective", 0.0))
-    report["objective_history"] = [float(v) for v in report.get("objective_history", [])]
     payload = {
         "version": MODEL_SCHEMA_VERSION,
         "emotion": model.emotion,
@@ -331,7 +335,7 @@ def save_model(model: RankingModel, path) -> None:
         "feature_std": [float(v) for v in model.feature_std],
         "attr_min": model.attr_min,
         "attr_max": model.attr_max,
-        "solver_report": report,
+        "solver_report": model.solver_report,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2)
@@ -345,14 +349,10 @@ def load_model(path) -> RankingModel:
     <= 0, or attr_min > attr_max raise an EmorankError instead of letting
     score() return NaN.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("version") != MODEL_SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
             f"{path}: expected schema version {MODEL_SCHEMA_VERSION}, "

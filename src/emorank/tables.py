@@ -14,6 +14,14 @@ import numpy as np
 from .errors import MissingFileError, ParseError
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; other bytes raise ParseError naming their offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def read_table(path, sep: str, columns):
     """Yield (lineno, fields) for each non-blank row after the header.
 
@@ -22,10 +30,7 @@ def read_table(path, sep: str, columns):
     sets.  Rows are checked one at a time as they are yielded, so an error
     names the first bad line whatever is wrong with it.
     """
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    lines = read_text(path).splitlines()
     header = lines[0].split(sep) if lines else []
     expected = list(columns(len(header)) if callable(columns) else columns)
     if header != expected:

@@ -79,10 +79,7 @@ def test_criterion_2_closed_form_toy_problem():
         model = train_ranker(pairs, c=1.0, standardize=False)
         assert model.weights[0] == pytest.approx(4.0 / 9.0, abs=1e-6)
         assert model.solver_report["final_objective"] == pytest.approx(1.0 / 9.0, abs=1e-6)
-        assert score(model, features[0]) == 0.0
-        assert score(model, features[1]) == 0.0
-        assert score(model, features[2]) == 1.0
-        assert score(model, features[3]) == 1.0
+        assert score(model, features).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_criterion_3_sampled_pairs_rank_separable_classes():
@@ -114,7 +111,7 @@ def test_criterion_4_demo_corpus_ranks_emotion(mini_corpus, corpus_features):
         features = np.stack([corpus_features[e.utt_id] for e in rows])
         labels = ["neutral" if e.emotion == "neutral" else "emotional" for e in rows]
         model = train_ranker(build_pairs(features, labels, seed=0), c=1.0, emotion="happy")
-        scores = np.array([score(model, row) for row in features])
+        scores = score(model, features)
         is_neutral = np.array([l == "neutral" for l in labels])
         assert scores[~is_neutral].mean() > scores[is_neutral].mean()
         history = model.solver_report["objective_history"]
@@ -273,5 +270,4 @@ def test_criterion_8_cli_determinism(tmp_path):
         assert resaved.read_text() == model_path.read_text()
         reloaded = load_model(resaved)
         probe = np.random.default_rng(1).normal(size=(5, loaded.weights.size))
-        for row in probe:
-            assert abs(score(loaded, row) - score(reloaded, row)) <= 1e-12
+        assert np.all(np.abs(score(loaded, probe) - score(reloaded, probe)) <= 1e-12)

@@ -400,6 +400,24 @@ class TestNonUtf8Input:
         assert not out.exists()
 
 
+class TestOverflowingScore:
+    def test_huge_feature_value_is_1(self, cli_corpus, cli_model, tmp_path):
+        # A finite f007 of 1e308 overflows when standardized by the model.
+        lines = cli_corpus["features"].read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[8] = "1e308"
+        lines[3] = ",".join(fields)
+        features = tmp_path / "huge.csv"
+        features.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "scores.csv"
+        result = _run_cli("score-intensity", "--model", cli_model,
+                          "--features", features, "--out", out)
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith("error: feature column 7 overflows float64")
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def cli_model(cli_corpus):
     """A happy-intensity model trained on the CLI corpus."""

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emorank import conv_metrics, features
 from emorank.conv_metrics import (
@@ -27,6 +30,27 @@ from emorank.features import pitch_contour
 
 def _seq(rows):
     return np.asarray(rows, dtype=np.float64)
+
+
+def _mcd_per_frame(a, b):
+    """Mean of the per-frame distances along the alignment: the oracle for mcd."""
+    ca, cb = a[:, 1:], b[:, 1:]
+    path, _ = dtw_align(ca, cb)
+    diff = ca[path[:, 0]] - cb[path[:, 1]]
+    return float(np.mean(MCD_ALPHA / ca.shape[1] * np.sqrt(np.einsum("ij,ij->i", diff, diff))))
+
+
+@st.composite
+def _cepstra_pairs(draw):
+    """Two cepstral sequences of one width and their own lengths, either real
+    valued or small integers, whose many equal distances tie the alignment."""
+    width = draw(st.integers(2, 13))
+    if draw(st.booleans()):
+        elements = st.integers(-2, 2).map(float)
+    else:
+        elements = st.floats(-100.0, 100.0, allow_subnormal=False)
+    return tuple(draw(arrays(np.float64, (draw(st.integers(1, 30)), width), elements=elements))
+                 for _ in range(2))
 
 
 class TestMcep:
@@ -143,6 +167,11 @@ class TestMcd:
     def test_order_mismatch_rejected(self):
         with pytest.raises(OrderMismatchError):
             mcd(_seq([[0.0, 1.0]]), _seq([[0.0, 1.0, 2.0]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cepstra_pairs())
+    def test_matches_per_frame_oracle(self, pair):
+        assert mcd(*pair) == pytest.approx(_mcd_per_frame(*pair), rel=1e-14, abs=0.0)
 
 
 class TestDdur:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -261,8 +261,9 @@ class TestTrainRanker:
     def test_toy_score_endpoints(self):
         model = train_ranker(_toy_pairs(), c=1.0, standardize=False)
         features = _toy_pairs().features
-        assert score(model, features[0]) == 0.0
-        assert score(model, features[2]) == 1.0
+        scores = score(model, features)
+        assert scores[0] == 0.0
+        assert scores[2] == 1.0
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(11)
@@ -411,10 +412,9 @@ class TestTrainRanker:
         pairs_b = build_pairs(features * 3.0 + 7.0, labels, seed=1)
         model_a = train_ranker(pairs_a, c=1.0)
         model_b = train_ranker(pairs_b, c=1.0)
-        for i in range(30):
-            sa = score(model_a, features[i])
-            sb = score(model_b, features[i] * 3.0 + 7.0)
-            assert sa == pytest.approx(sb, abs=1e-9)
+        sa = score(model_a, features)
+        sb = score(model_b, features * 3.0 + 7.0)
+        np.testing.assert_allclose(sa, sb, rtol=0.0, atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1),
@@ -429,8 +429,8 @@ class TestTrainRanker:
         labels = ["emotional"] * 15 + ["neutral"] * 15
         model_a = train_ranker(build_pairs(features, labels, seed=1), c=1.0)
         model_b = train_ranker(build_pairs(moved, labels, seed=1), c=1.0)
-        for row, moved_row in zip(features, moved):
-            assert score(model_a, row) == pytest.approx(score(model_b, moved_row), abs=1e-9)
+        np.testing.assert_allclose(score(model_a, features), score(model_b, moved),
+                                   rtol=0.0, atol=1e-9)
 
     def test_no_ordered_pairs_rejected(self):
         pairs = PairSets(np.empty((0, 2)), np.array([[0, 1]]), np.zeros((2, 2)))
@@ -472,6 +472,54 @@ class TestTrainRanker:
             train_ranker(_toy_pairs(), grad_tol=grad_tol)
 
 
+def _score_row(model, x):
+    """One feature vector's intensity from its own dot product: the oracle for score."""
+    raw = float(model.weights @ ((x - model.feature_mean) / model.feature_std))
+    span = model.attr_max - model.attr_min
+    if span <= 0.0:
+        return 0.5
+    return float(np.clip((raw - model.attr_min) / span, 0.0, 1.0))
+
+
+@st.composite
+def _trained_cases(draw):
+    """A ranker trained on a drawn two-class problem, its pairs, and eight rows
+    mixed from two training rows each."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(2, 12)), draw(st.integers(1, 32))
+    features = rng.normal(size=(2 * n, dim))
+    features[:n, 0] += rng.uniform(0.0, 3.0)
+    pairs = build_pairs(features, ["emotional"] * n + ["neutral"] * n, seed=0)
+    first, second = rng.integers(0, 2 * n, size=(2, 8))
+    t = rng.uniform(size=(8, 1))
+    return train_ranker(pairs), pairs, t * features[first] + (1.0 - t) * features[second]
+
+
+def _spans_unit_interval(scores):
+    return scores.min() == 0.0 and scores.max() == 1.0
+
+
+class TestScoreMatchesRowOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(_trained_cases())
+    def test_matrix_scores_match_oracle_and_hit_training_extremes(self, case):
+        model, pairs, mixed = case
+        for x in (pairs.features, mixed):
+            oracle = [_score_row(model, row) for row in x]
+            np.testing.assert_allclose(score(model, x), oracle, rtol=0.0, atol=1e-15)
+        if model.attr_max > model.attr_min:
+            assert _spans_unit_interval(score(model, pairs.features))
+
+    def test_row_oracle_misses_training_extremes_for_some_draw(self):
+        # Its dot products sum in another order than the training product.
+        def misses(case):
+            model, pairs, _ = case
+            return model.attr_max > model.attr_min and not _spans_unit_interval(
+                np.array([_score_row(model, row) for row in pairs.features]))
+
+        find(_trained_cases(), misses, settings=settings(database=None, deadline=None))
+
+
 class TestScore:
     def _model(self):
         return RankingModel("happy", 1.0, np.array([1.0]), np.array([0.0]),
@@ -479,18 +527,38 @@ class TestScore:
 
     def test_clamping(self):
         model = self._model()
-        assert score(model, np.array([2.0])) == 1.0
-        assert score(model, np.array([-1.0])) == 0.0
-        assert score(model, np.array([0.25])) == 0.25
+        assert score(model, np.array([[2.0], [-1.0], [0.25]])).tolist() == [1.0, 0.0, 0.25]
 
     def test_degenerate_range_gives_half(self):
         model = self._model()
         model.attr_max = model.attr_min
-        assert score(model, np.array([0.7])) == 0.5
+        assert score(model, np.array([[0.7], [-3.0]])).tolist() == [0.5, 0.5]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            score(self._model(), np.array([1.0, 2.0]))
+            score(self._model(), np.array([[1.0, 2.0]]))
+        with pytest.raises(DimensionMismatchError):
+            score(self._model(), np.array([1.0]))
+
+    def test_overflowing_column_named(self):
+        model = self._model()
+        model.feature_std = np.array([1e-8])
+        with np.errstate(all="raise"), pytest.raises(
+                NonFiniteError, match="feature column 0 overflows"):
+            score(model, np.array([[0.5], [1e308]]))
+
+    def test_huge_finite_raw_score_clamps(self):
+        model = self._model()
+        model.attr_max = 0.5
+        with np.errstate(all="raise"):
+            assert score(model, np.array([[1e308], [-1e308]])).tolist() == [1.0, 0.0]
+
+    def test_overflowing_raw_score_rejected(self):
+        model = RankingModel("happy", 1.0, np.array([1e300, 1e300]), np.zeros(2),
+                             np.ones(2), 0.0, 1.0, {})
+        with np.errstate(all="raise"), pytest.raises(
+                NonFiniteError, match="raw score of row 1 overflows"):
+            score(model, np.array([[0.0, 1.0], [1e10, 1e10]]))
 
 
 class TestPersistence:
@@ -514,8 +582,7 @@ class TestPersistence:
         np.testing.assert_array_equal(back.feature_std, model.feature_std)
         assert back.attr_min == model.attr_min
         assert back.attr_max == model.attr_max
-        for row in features:
-            assert score(back, row) == score(model, row)
+        np.testing.assert_array_equal(score(back, features), score(model, features))
 
     def test_stop_reason_round_trips(self, tmp_path):
         model, _ = self._trained()
