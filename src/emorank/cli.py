@@ -40,7 +40,7 @@ from .features import (
 from .manifest import EMOTIONS, parse_manifest, scan_tree, write_manifest
 from .ranker import build_pairs, load_model, save_model, score, train_ranker
 from .synthcorpus import DEFAULT_EMOTION, DEFAULT_PAIRS, DEFAULT_SEED, generate_mini_corpus
-from .tables import read_table, resolve_wav
+from .tables import read_table, resolve_wav, write_json, write_table
 
 PAIRS_TSV_COLUMNS = ("converted_wav", "reference_wav")
 
@@ -57,12 +57,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
 def _pool_map(fn, items, jobs: int) -> list:
     if jobs == 0:
         jobs = os.cpu_count() or 1
@@ -76,7 +70,7 @@ def _cmd_extract_features(args, config: Config) -> int:
     if args.describe_features:
         payload = {"n_features": N_FEATURES, "features": feature_index_map()}
         if args.out:
-            _write_json(payload, args.out)
+            write_json(args.out, payload)
         else:
             print(json.dumps(payload, indent=2))
         return 0
@@ -130,12 +124,8 @@ def _cmd_train_ranker(args, config: Config) -> int:
 def _cmd_score_intensity(args, config: Config) -> int:
     model = load_model(args.model)
     ids, matrix = read_features_csv(args.features)
-    # Score every row before opening --out, so a failure leaves no file.
-    scores = score(model, matrix).tolist()
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("utt_id,intensity\n")
-        for ident, value in zip(ids, scores):
-            handle.write(f"{ident},{value!r}\n")
+    write_table(args.out, ",", ("utt_id", "intensity"),
+                ([ident, repr(value)] for ident, value in zip(ids, score(model, matrix).tolist())))
     print(f"wrote {len(ids)} intensity scores to {args.out}")
     return 0
 
@@ -150,7 +140,7 @@ def _cmd_eval_clustering(args, config: Config) -> int:
         "dist_intra": report.dist_intra,
         "ratio": report.ratio,
     }
-    _write_json(payload, args.out)
+    write_json(args.out, payload)
     print(f"clustering ratio {report.ratio:.6g}; wrote {args.out}")
     return 0
 
@@ -194,7 +184,7 @@ def _cmd_eval_conversion(args, config: Config) -> int:
             "mean_ddur_s": float(np.mean([r["ddur_s"] for r in results])),
         },
     }
-    _write_json(payload, args.out)
+    write_json(args.out, payload)
     print(f"evaluated {len(results)} pairs, "
           f"mean MCD {payload['summary']['mean_mcd_db']:.3f} dB; wrote {args.out}")
     return 0

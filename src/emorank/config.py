@@ -19,6 +19,8 @@ from .features import (DEFAULT_F0_MAX_HZ, DEFAULT_F0_MIN_HZ, DEFAULT_LLD_FRAME_M
 from .ranker import DEFAULT_C
 from .tables import read_text
 
+MAX_FRAME_MS = 1000.0  # frames and their FFT buffers grow with the frame length
+
 
 @dataclass
 class Config:
@@ -48,6 +50,9 @@ class Config:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise InvalidParamsError(f"{name} must be positive")
+        for name in ("lld_frame_ms", "pitch_frame_ms"):
+            if getattr(self, name) > MAX_FRAME_MS:
+                raise InvalidParamsError(f"{name} must be at most {MAX_FRAME_MS:g} ms")
         if not 0.0 < self.pitch_fmin < self.pitch_fmax:
             raise InvalidParamsError("need 0 < pitch_fmin < pitch_fmax")
         if not 0.0 <= self.voicing_threshold <= 1.0:

@@ -35,6 +35,7 @@ from .features import (
     pitch_contour,
 )
 from .kernels import dtw_table
+from .tables import write_table
 
 MCD_ALPHA = 10.0 * np.sqrt(2.0) / np.log(10.0)
 DEFAULT_MCEP_ORDER = 24
@@ -42,6 +43,7 @@ DEFAULT_MCEP_BANDS = 40
 DEFAULT_MCEP_FRAME_MS = 25.0
 DEFAULT_MCEP_HOP_MS = 10.0
 DDUR_MODES = ("voiced", "span")
+CONTOUR_CSV_COLUMNS = ("path_idx", "i", "j", "f0_conv", "f0_ref", "energy_conv", "energy_ref")
 # Rows of the DTW cost matrix built at once: bounds the difference tensor
 # to COST_BLOCK_ROWS * m * d values instead of n * m * d.
 COST_BLOCK_ROWS = 16
@@ -220,10 +222,8 @@ def write_contour_csv(report: EvaluationReport, path) -> None:
     Energy columns reuse the F0 path indices, which is valid because both
     contours are computed on the same framing.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("path_idx,i,j,f0_conv,f0_ref,energy_conv,energy_ref\n")
-        for idx, (i, j) in enumerate(report.f0_path):
-            row = [str(idx), str(int(i)), str(int(j)),
-                   repr(float(report.f0_conv[i])), repr(float(report.f0_ref[j])),
-                   repr(float(report.energy_conv[i])), repr(float(report.energy_ref[j]))]
-            handle.write(",".join(row) + "\n")
+    write_table(path, ",", CONTOUR_CSV_COLUMNS,
+                ([str(idx), str(int(i)), str(int(j)),
+                  repr(float(report.f0_conv[i])), repr(float(report.f0_ref[j])),
+                  repr(float(report.energy_conv[i])), repr(float(report.energy_ref[j]))]
+                 for idx, (i, j) in enumerate(report.f0_path)))

@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteError,
     ParseError,
 )
-from .tables import parse_floats, read_table
+from .tables import parse_floats, read_keyed_table
 
 PROB_FLOOR = 1e-12
 PROB_SUM_TOL = 1e-6
@@ -130,12 +130,9 @@ def _embedding_columns(n_fields: int) -> tuple:
 
 def read_embeddings_csv(path) -> tuple:
     """Read CSV rows `id,label,d0..dN` as (embeddings, labels); ids non-empty and unique."""
-    rows = {}
-    for lineno, (ident, label, *values) in read_table(path, ",", _embedding_columns):
-        if not ident or ident in rows:
-            raise ParseError(f"{path}:{lineno}: {'duplicate' if ident else 'empty'} id {ident!r}")
-        rows[ident] = (label, parse_floats(path, lineno, values, "embedding"))
+    rows = [(label, parse_floats(path, lineno, values, "embedding"))
+            for lineno, (_, label, *values) in read_keyed_table(path, ",", _embedding_columns)]
     if not rows:
         raise ParseError(f"{path}: no embedding rows")
-    labels, vectors = zip(*rows.values())
+    labels, vectors = zip(*rows)
     return np.array(vectors), list(labels)

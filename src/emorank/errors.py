@@ -59,17 +59,13 @@ class ParseError(EmorankError):
     """A line of tabular input (manifest, CSV) is malformed."""
 
 
-class ManifestError(EmorankError):
-    """Base class for corpus manifest content problems."""
+class DuplicateIdError(ParseError):
+    """Two rows of a keyed table share a key."""
 
 
-class DuplicateIdError(ManifestError):
-    """Two manifest rows share an utterance id."""
-
-
-class UnknownEmotionError(ManifestError):
+class UnknownEmotionError(EmorankError):
     """A manifest row names an emotion outside the vocabulary."""
 
 
-class MissingFileError(ManifestError):
-    """A manifest row points at a file that does not exist."""
+class MissingFileError(EmorankError):
+    """A table row points at a file that does not exist."""

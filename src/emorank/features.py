@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, power_spectrogram
-from .errors import DimensionMismatchError, InvalidParamsError, ParseError
+from .errors import DimensionMismatchError, InvalidParamsError
 from .kernels import autocorr_matrix
-from .tables import parse_floats, read_table
+from .tables import parse_floats, read_keyed_table, write_table
 
 DEFAULT_LLD_FRAME_MS = 25.0
 DEFAULT_LLD_HOP_MS = 10.0
@@ -43,6 +43,7 @@ FUNCTIONAL_NAMES = (
     "range", "lr_offset", "lr_slope", "lr_mse",
 )
 N_FEATURES = 2 * len(LLD_COLUMNS) * len(FUNCTIONAL_NAMES)
+FEATURE_CSV_COLUMNS = ("id",) + tuple(f"f{i:03d}" for i in range(N_FEATURES))
 
 
 @dataclass(eq=False)
@@ -259,10 +260,6 @@ def feature_index_map() -> list:
     return entries
 
 
-def feature_csv_header() -> list:
-    return ["id"] + [f"f{i:03d}" for i in range(N_FEATURES)]
-
-
 def check_feature_ids(ids) -> None:
     """Raise InvalidParamsError unless the ids can key a feature CSV.
 
@@ -291,17 +288,12 @@ def write_features_csv(ids, matrix, path) -> None:
         raise DimensionMismatchError(
             f"expected a ({len(ids)}, {N_FEATURES}) feature matrix, got {matrix.shape}")
     check_feature_ids(ids)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(feature_csv_header()) + "\n")
-        for ident, values in zip(ids, matrix):
-            handle.write(ident + "," + ",".join(map(repr, values.tolist())) + "\n")
+    write_table(path, ",", FEATURE_CSV_COLUMNS,
+                ([ident, *map(repr, values)] for ident, values in zip(ids, matrix.tolist())))
 
 
 def read_features_csv(path) -> tuple:
     """Read a file of write_features_csv: (ids, (n, 384) matrix); ids unique, values finite."""
-    rows = {}
-    for lineno, (ident, *values) in read_table(path, ",", feature_csv_header()):
-        if ident in rows:
-            raise ParseError(f"{path}:{lineno}: duplicate id {ident!r}")
-        rows[ident] = parse_floats(path, lineno, values, "feature")
+    rows = {ident: parse_floats(path, lineno, values, "feature")
+            for lineno, (ident, *values) in read_keyed_table(path, ",", FEATURE_CSV_COLUMNS)}
     return list(rows), np.array(list(rows.values())).reshape(len(rows), N_FEATURES)

@@ -11,8 +11,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateIdError, ParseError, UnknownEmotionError
-from .tables import read_table, resolve_wav
+from .errors import ParseError, UnknownEmotionError
+from .tables import check_key, read_keyed_table, resolve_wav, write_table
 
 EMOTIONS = ("neutral", "angry", "happy", "sad", "surprise")
 SPLITS = ("train", "eval", "reference")
@@ -37,16 +37,9 @@ def parse_manifest(path) -> list:
     for out-of-vocabulary emotions, DuplicateIdError for repeated ids, and
     MissingFileError when a referenced wav does not exist.
     """
-    path = Path(path)
     entries = []
-    seen = set()
-    for lineno, (utt_id, wav_path, speaker, emotion, split) in read_table(
+    for lineno, (utt_id, wav_path, speaker, emotion, split) in read_keyed_table(
             path, "\t", MANIFEST_COLUMNS):
-        if not utt_id:
-            raise ParseError(f"{path}:{lineno}: empty utt_id")
-        if utt_id in seen:
-            raise DuplicateIdError(f"{path}:{lineno}: duplicate utt_id {utt_id!r}")
-        seen.add(utt_id)
         if emotion not in EMOTIONS:
             raise UnknownEmotionError(
                 f"{path}:{lineno}: emotion {emotion!r} not in {EMOTIONS}"
@@ -61,21 +54,13 @@ def parse_manifest(path) -> list:
 def write_manifest(entries, path) -> None:
     """Write manifest entries with wav paths relative to the manifest.
 
-    A field holding a tab or a line break would not read back, so it
-    raises ParseError before the file is opened.
+    A field holding a tab or a line break, or an empty or repeated utt_id,
+    would not read back, so it raises ParseError before the file is opened.
     """
     path = Path(path)
-    rows = [[e.utt_id, os.path.relpath(e.wav_path, path.parent), e.speaker, e.emotion,
-             e.split] for e in entries]
-    for row in rows:
-        for name, value in zip(MANIFEST_COLUMNS, row):
-            # read_table splits on str.splitlines, so only its breaks count.
-            if "\t" in value or "".join(value.splitlines()) != value:
-                raise ParseError(f"{name} {value!r} holds a tab or a line break")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\t".join(MANIFEST_COLUMNS) + "\n")
-        for row in rows:
-            handle.write("\t".join(row) + "\n")
+    write_table(path, "\t", MANIFEST_COLUMNS,
+                ([e.utt_id, os.path.relpath(e.wav_path, path.parent), e.speaker, e.emotion,
+                  e.split] for e in entries))
 
 
 def scan_tree(root, split: str = "train") -> list:
@@ -97,8 +82,6 @@ def scan_tree(root, split: str = "train") -> list:
                 continue
             for wav in sorted(emo_dir.glob("*.wav")):
                 utt_id = f"{speaker_dir.name}_{wav.stem}"
-                if utt_id in seen:
-                    raise DuplicateIdError(f"duplicate utt_id {utt_id!r} under {root}")
-                seen.add(utt_id)
+                check_key(seen, utt_id, wav)
                 entries.append(ManifestEntry(utt_id, wav, speaker_dir.name, emotion, split))
     return entries

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     SchemaVersionMismatchError,
 )
-from .tables import read_text
+from .tables import read_text, write_json
 
 DEFAULT_C = 1.0
 DEFAULT_MAX_ITER = 200
@@ -295,6 +295,8 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
         "final_objective": history[-1],
         "objective_history": history,
     }
+    # score()'s product: unlike BLAS, einsum gives each row bits the other rows do not move.
+    s = np.einsum("ij,j->i", xs, w)
     return RankingModel(emotion, float(c), w, mean, std,
                         float(s.min()), float(s.max()), report)
 
@@ -302,18 +304,19 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
 def score(model: RankingModel, x: np.ndarray) -> np.ndarray:
     """Intensities in [0, 1] of the rows of an (n, d) feature matrix.
 
-    Raw scores are the standardized matrix times the weights, the product
-    training took attr_min and attr_max from, so the training matrix scores
-    exactly 0.0 and 1.0 at its extremes.  Raw scores map affinely onto that
-    range, clamped outside it; a degenerate range maps every row to 0.5.  A
-    column or raw score that overflows raises NonFiniteError.
+    Raw scores are the standardized rows times the weights, by the per-row
+    product training took attr_min and attr_max from, so training rows score
+    exactly 0.0 and 1.0 at their extremes among any other rows.  Raw scores map
+    affinely onto that range, clamped outside it; a degenerate range maps every
+    row to 0.5.  An overflowing column or raw score raises NonFiniteError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1:] != model.weights.shape:
         raise DimensionMismatchError(
             f"expected vector of shape {model.weights.shape} per row, got shape {x.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        raw = _standardized(x, model.feature_mean, model.feature_std) @ model.weights
+        raw = np.einsum("ij,j->i", _standardized(x, model.feature_mean, model.feature_std),
+                        model.weights)
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:
         raise NonFiniteError(f"raw score of row {bad[0]} overflows float64")
@@ -337,9 +340,7 @@ def save_model(model: RankingModel, path) -> None:
         "attr_max": model.attr_max,
         "solver_report": model.solver_report,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> RankingModel:

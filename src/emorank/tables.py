@@ -1,17 +1,19 @@
-"""Delimited text tables: the manifest, pairs TSV, feature CSV and embeddings CSV.
+"""Delimited text tables and JSON files: every file the package reads or writes but wav.
 
 A table is UTF-8 text: a header line of column names, then one row per
 line with as many fields as the header.  Blank lines are skipped.  Every
-error names the file and line as `path:line: ...`.
+error names the file and line as `path:line: ...`.  A keyed table's first
+field is a non-empty id that no other row repeats.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingFileError, ParseError
+from .errors import DuplicateIdError, MissingFileError, ParseError
 
 
 def read_text(path) -> str:
@@ -43,6 +45,52 @@ def read_table(path, sep: str, columns):
         if len(fields) != len(expected):
             raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields, got {len(fields)}")
         yield lineno, fields
+
+
+def check_key(seen: set, key: str, where) -> None:
+    """Add key to seen; an empty key or one already seen raises ParseError naming where."""
+    if not key or key in seen:
+        error = DuplicateIdError if key else ParseError
+        raise error(f"{where}: {'duplicate' if key else 'empty'} id {key!r}")
+    seen.add(key)
+
+
+def read_keyed_table(path, sep: str, columns):
+    """read_table for a keyed table: every row's first field passes check_key."""
+    seen = set()
+    for lineno, fields in read_table(path, sep, columns):
+        check_key(seen, fields[0], f"{path}:{lineno}")
+        yield lineno, fields
+
+
+def write_table(path, sep: str, columns, rows) -> None:
+    """Write rows of strings as a keyed table that read_keyed_table reads back as they are.
+
+    A field holding sep, a line break or a character UTF-8 cannot encode, or
+    a key check_key refuses, raises ParseError before the file is opened.
+    """
+    lines = [sep.join(columns)]
+    seen = set()
+    for lineno, fields in enumerate(rows, start=2):
+        check_key(seen, fields[0], f"{path}:{lineno}")
+        line = sep.join(fields)
+        if line.count(sep) != len(columns) - 1 or line.splitlines() != [line]:
+            for name, value in zip(columns, fields, strict=True):
+                # read_table splits on str.splitlines, so only its breaks count.
+                if sep in value or "".join(value.splitlines()) != value:
+                    raise ParseError(f"{path}:{lineno}: {name} {value!r} holds "
+                                     f"{'a comma' if sep == ',' else 'a tab'} or a line break")
+        lines.append(line)
+    try:
+        data = "\n".join(lines).encode("utf-8") + b"\n"
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at character {exc.start})") from exc
+    Path(path).write_bytes(data)
+
+
+def write_json(path, payload) -> None:
+    """Write payload as ASCII JSON indented by two spaces, with a final newline."""
+    Path(path).write_bytes(json.dumps(payload, indent=2).encode("ascii") + b"\n")
 
 
 def resolve_wav(path, lineno: int, name: str) -> Path:

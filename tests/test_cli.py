@@ -231,6 +231,30 @@ class TestExitCodes:
         assert err.startswith("error:") and "mcep_order must be in [1, 39]" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [("extract-features", "lld_frame_ms"),
+                                              ("contours", "pitch_frame_ms")])
+    def test_frame_too_long_is_1(self, cli_corpus, tmp_path, capsys, monkeypatch, command,
+                                 key):
+        # Refused with the settings, before any audio is read or framed.
+        def no_work(*args, **kwargs):
+            raise AssertionError("audio was read before the frame length was checked")
+
+        monkeypatch.setattr("emorank.cli.load_wav", no_work)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = 1e300\n")
+        if command == "contours":
+            argv = [command, "--converted", str(cli_corpus["corpus"] / "happy000.wav"),
+                    "--reference", str(cli_corpus["corpus"] / "neu000.wav")]
+        else:
+            argv = [command, "--manifest", str(cli_corpus["manifest"])]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{key} must be at most 1000 ms" in err
+        assert not out.exists()
+        load_config(lld_frame_ms=1000.0, pitch_frame_ms=1000.0)  # the bound itself passes
+
     def test_score_with_wrong_width_model_writes_nothing(self, cli_corpus, cli_model,
                                                          tmp_path, capsys):
         payload = json.loads(cli_model.read_text())
@@ -364,7 +388,7 @@ def _run_cli(*argv) -> subprocess.CompletedProcess:
 
 
 class TestNonUtf8Input:
-    """A text input holding bytes that are not UTF-8 exits 1 and names the file."""
+    """Text that is not UTF-8, read or to be written, exits 1 and names the file."""
 
     @staticmethod
     def _assert_rejected(result, path):
@@ -397,6 +421,20 @@ class TestNonUtf8Input:
         result = _run_cli("score-intensity", "--model", model,
                           "--features", cli_corpus["features"], "--out", out)
         self._assert_rejected(result, model)
+        assert not out.exists()
+
+    def test_manifest_of_a_file_name_not_utf8(self, cli_corpus, tmp_path):
+        # The name's byte 0xff decodes to a surrogate, which UTF-8 cannot encode.
+        target = tmp_path / "tree" / "spk" / "happy"
+        target.mkdir(parents=True)
+        try:
+            (target / os.fsdecode(b"a\xff.wav")).write_bytes(
+                (cli_corpus["corpus"] / "neu000.wav").read_bytes())
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        out = tmp_path / "m.tsv"
+        result = _run_cli("make-manifest", "--root", tmp_path / "tree", "--out", out)
+        self._assert_rejected(result, out)
         assert not out.exists()
 
 

@@ -430,6 +430,14 @@ class TestFeatureVector:
         with pytest.raises(ParseError, match=r"f\.csv:3: duplicate id 'u0'"):
             read_features_csv(path)
 
+    def test_csv_empty_id_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_features_csv(["u0"], np.zeros((1, N_FEATURES)), path)
+        text = path.read_text()
+        path.write_text(text + text.splitlines()[1][2:] + "\n")
+        with pytest.raises(ParseError, match=r"f\.csv:3: empty id ''"):
+            read_features_csv(path)
+
     @pytest.mark.parametrize("ids", [[""], ["u0", "u0"], ["a,b"], ["a\nb"]],
                              ids=["empty", "repeated", "comma", "newline"])
     def test_csv_write_rejects_bad_id(self, tmp_path, ids):

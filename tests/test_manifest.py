@@ -128,6 +128,18 @@ class TestWriteManifest:
             write_manifest(entries, out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("ids, error, message", [
+        (["u1", ""], ParseError, "manifest.tsv:3: empty id ''"),
+        (["u1", "u2", "u1"], DuplicateIdError, "manifest.tsv:4: duplicate id 'u1'"),
+    ], ids=["empty", "repeated"])
+    def test_id_that_would_not_read_back_rejected(self, tmp_path, ids, error, message):
+        _touch_wav(tmp_path / "a.wav")
+        entries = [ManifestEntry(i, tmp_path / "a.wav", "spk", "sad", "train") for i in ids]
+        out = tmp_path / "manifest.tsv"
+        with pytest.raises(error, match=message):
+            write_manifest(entries, out)
+        assert not out.exists()
+
 
 class TestScanTree:
     def test_layout_scan(self, tmp_path):

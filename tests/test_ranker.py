@@ -482,11 +482,11 @@ def _score_row(model, x):
 
 
 @st.composite
-def _trained_cases(draw):
+def _trained_cases(draw, dims=st.integers(1, 32)):
     """A ranker trained on a drawn two-class problem, its pairs, and eight rows
     mixed from two training rows each."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, dim = draw(st.integers(2, 12)), draw(st.integers(1, 32))
+    n, dim = draw(st.integers(2, 12)), draw(dims)
     features = rng.normal(size=(2 * n, dim))
     features[:n, 0] += rng.uniform(0.0, 3.0)
     pairs = build_pairs(features, ["emotional"] * n + ["neutral"] * n, seed=0)
@@ -518,6 +518,19 @@ class TestScoreMatchesRowOracle:
                 np.array([_score_row(model, row) for row in pairs.features]))
 
         find(_trained_cases(), misses, settings=settings(database=None, deadline=None))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_trained_cases(dims=st.integers(0, 16).map(lambda k: 2 * k + 1)),
+           st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_training_rows_score_as_alone_among_other_rows(self, case, above, below, seed):
+        model, pairs, _ = case
+        x = pairs.features
+        extra = np.random.default_rng(seed).normal(size=(above + below, x.shape[1]))
+        among = score(model, np.vstack([extra[:above], x, extra[above:]]))
+        among = among[above:above + x.shape[0]]
+        assert among.tobytes() == score(model, x).tobytes()
+        if model.attr_max > model.attr_min:
+            assert _spans_unit_interval(among)
 
 
 class TestScore:

@@ -1,0 +1,64 @@
+"""The table writer and the keyed reader: what one writes, the other reads back."""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emorank.errors import DuplicateIdError, ParseError
+from emorank.tables import read_keyed_table, write_json, write_table
+
+# Every line boundary of str.splitlines, which read_table splits a file on.
+LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+_fields = st.lists(st.sampled_from(("a", "b", "é", "\t", ",", "\r\n") + LINE_BREAKS),
+                   max_size=3).map("".join)
+
+
+def _readable(rows, sep) -> bool:
+    """Whether rows can be a keyed table: plain fields, non-empty keys, none repeated."""
+    keys = [row[0] for row in rows]
+    plain = all(sep not in v and not any(b in v for b in LINE_BREAKS) for row in rows for v in row)
+    return plain and all(keys) and len(set(keys)) == len(keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sep=st.sampled_from(("\t", ",")), width=st.integers(1, 3), data=st.data())
+def test_written_rows_read_back_or_nothing_is_written(sep, width, data):
+    rows = data.draw(st.lists(st.lists(_fields, min_size=width, max_size=width), max_size=4))
+    columns = ("id",) + tuple(f"c{i}" for i in range(1, width))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        try:
+            write_table(path, sep, columns, rows)
+        except ParseError:
+            assert not path.exists()
+            assert not _readable(rows, sep)
+        else:
+            assert [fields for _, fields in read_keyed_table(path, sep, columns)] == rows
+
+
+@pytest.mark.parametrize("sep, rows, error, message", [
+    (",", [["u1", "1,5"]], ParseError, r"t\.txt:2: v '1,5' holds a comma or a line break"),
+    ("\t", [["u1", "a\u2028b"]], ParseError,
+     r"t\.txt:2: v 'a\\u2028b' holds a tab or a line break"),
+    (",", [["u1", "1"], ["", "2"]], ParseError, r"t\.txt:3: empty id ''"),
+    (",", [["u1", "1"], ["u1", "2"]], DuplicateIdError, r"t\.txt:3: duplicate id 'u1'"),
+    (",", [["u1", "caf\udce9"]], ParseError, r"t\.txt: not UTF-8 text"),
+], ids=["comma", "line_separator", "empty_key", "repeated_key", "surrogate"])
+def test_refused_row_named_and_no_file(tmp_path, sep, rows, error, message):
+    path = tmp_path / "t.txt"
+    with pytest.raises(error, match=message):
+        write_table(path, sep, ("id", "v"), rows)
+    assert not path.exists()
+
+
+def test_written_bytes(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_table(path, "\t", ("id", "v"), iter([["u1", "x"], ["u2", ""]]))
+    assert path.read_bytes() == b"id\tv\nu1\tx\nu2\t\n"
+    write_json(path, {"b": [1.5, "\u00e9"], "a": None})
+    assert path.read_bytes() == b'{\n  "b": [\n    1.5,\n    "\\u00e9"\n  ],\n  "a": null\n}\n'
+
