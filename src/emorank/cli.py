@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CONFIG_KEYS, Config, load_config
-from .conv_metrics import contour_report, write_contour_csv
+from .conv_metrics import DDUR_MODES, contour_report, write_contour_csv
 from .dsp import load_wav
 from .emo_eval import clustering_ratio, read_embeddings_csv
 from .errors import EmorankError, EmptyInputError, InvalidParamsError
@@ -58,11 +58,7 @@ def _timestamp() -> str:
 
 
 def _pool_map(fn, items, jobs: int) -> list:
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
         return list(pool.map(fn, items))
 
 
@@ -82,7 +78,8 @@ def _cmd_extract_features(args, config: Config) -> int:
     check_feature_ids(ids)
 
     def work(entry):
-        return extract_feature_vector(load_wav(entry.wav_path), **config.lld_kwargs())
+        return extract_feature_vector(load_wav(entry.wav_path), frame_ms=config.lld_frame_ms,
+                                      hop_ms=config.lld_hop_ms, **config.voicing())
 
     vectors = _pool_map(work, entries, config.jobs)
     write_features_csv(ids, np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)
@@ -157,7 +154,8 @@ def _contour_report(config: Config, converted, reference):
     """The contour report of two wav files under the configured analysis settings."""
     return contour_report(load_wav(converted), load_wav(reference),
                           mcep_order=config.mcep_order, ddur_mode=config.ddur_mode,
-                          **config.pitch_kwargs())
+                          frame_ms=config.pitch_frame_ms, hop_ms=config.pitch_hop_ms,
+                          **config.voicing())
 
 
 def _cmd_eval_conversion(args, config: Config) -> int:
@@ -171,7 +169,7 @@ def _cmd_eval_conversion(args, config: Config) -> int:
             "reference": ref_name,
             "mcd_db": report.mcd_db,
             "ddur_s": report.ddur_s,
-            "n_aligned_frames": report.n_aligned_frames,
+            "n_aligned_frames": len(report.f0_path),
         }
 
     results = _pool_map(work, rows, config.jobs)
@@ -194,7 +192,7 @@ def _cmd_contours(args, config: Config) -> int:
     report = _contour_report(config, args.converted, args.reference)
     write_contour_csv(report, args.out)
     print(f"MCD {report.mcd_db:.3f} dB, DDUR {report.ddur_s:.3f} s, "
-          f"{report.n_aligned_frames} aligned frames; wrote {args.out}")
+          f"{len(report.f0_path)} aligned frames; wrote {args.out}")
     return 0
 
 
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--jobs", type=int, help="worker threads, 0 = CPU count")
     conversion = _Parser(add_help=False)
     conversion.add_argument("--mcep-order", type=int, help="cepstral order")
-    conversion.add_argument("--ddur-mode", choices=["voiced", "span"],
+    conversion.add_argument("--ddur-mode", choices=DDUR_MODES,
                             help="duration definition")
 
     def command(name, handler, help, parents=(settings,)):

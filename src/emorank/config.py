@@ -67,20 +67,8 @@ class Config:
         if self.ddur_mode not in DDUR_MODES:
             raise InvalidParamsError(f"ddur_mode must be one of {DDUR_MODES}")
 
-    def lld_kwargs(self) -> dict:
+    def voicing(self) -> dict:
         return {
-            "frame_ms": self.lld_frame_ms,
-            "hop_ms": self.lld_hop_ms,
-            "fmin": self.pitch_fmin,
-            "fmax": self.pitch_fmax,
-            "voicing_threshold": self.voicing_threshold,
-            "silence_rms": self.silence_rms,
-        }
-
-    def pitch_kwargs(self) -> dict:
-        return {
-            "frame_ms": self.pitch_frame_ms,
-            "hop_ms": self.pitch_hop_ms,
             "fmin": self.pitch_fmin,
             "fmax": self.pitch_fmax,
             "voicing_threshold": self.voicing_threshold,

@@ -47,6 +47,9 @@ CONTOUR_CSV_COLUMNS = ("path_idx", "i", "j", "f0_conv", "f0_ref", "energy_conv",
 # Rows of the DTW cost matrix built at once: bounds the difference tensor
 # to COST_BLOCK_ROWS * m * d values instead of n * m * d.
 COST_BLOCK_ROWS = 16
+# Largest n * m alignment dtw_align builds: its cost matrix and table take
+# 16 bytes per cell, so 2**26 cells is 1 GiB (about 82 s by 82 s at a 10 ms hop).
+MAX_DTW_CELLS = 2 ** 26
 
 
 @dataclass(eq=False)
@@ -55,7 +58,6 @@ class EvaluationReport:
 
     mcd_db: float
     ddur_s: float
-    n_aligned_frames: int
     f0_conv: np.ndarray
     f0_ref: np.ndarray
     energy_conv: np.ndarray
@@ -92,7 +94,8 @@ def dtw_align(a, b) -> tuple:
     (0, 0) to (n-1, m-1); the total is the summed cost along it.  Ties
     during backtracking prefer the diagonal step, then advancing the first
     sequence.  The cost of a cell is the Euclidean norm of the difference
-    of its two frame vectors.
+    of its two frame vectors.  An alignment of more than MAX_DTW_CELLS
+    cells raises InvalidParamsError before anything of its size is allocated.
     """
     a = _as_sequence(a)
     b = _as_sequence(b)
@@ -100,6 +103,10 @@ def dtw_align(a, b) -> tuple:
         raise DimensionMismatchError(
             f"sequences have different widths: {a.shape[1]} vs {b.shape[1]}"
         )
+    if a.shape[0] * b.shape[0] > MAX_DTW_CELLS:
+        raise InvalidParamsError(
+            f"aligning {a.shape[0]} with {b.shape[0]} frames needs "
+            f"{a.shape[0] * b.shape[0]} cells, above the limit of {MAX_DTW_CELLS}")
     cost = np.empty((a.shape[0], b.shape[0]))
     for lo in range(0, a.shape[0], COST_BLOCK_ROWS):
         diff = a[lo : lo + COST_BLOCK_ROWS, None, :] - b[None, :, :]
@@ -185,9 +192,8 @@ def contour_report(converted: Waveform, reference: Waveform,
     """Evaluate one converted/reference pair.
 
     F0 and energy contours share the pitch framing so their frame indices
-    are comparable; both are read along the one F0 alignment, whose length
-    is the reported n_aligned_frames.  Both waveforms must share one
-    sample rate, since Mel bands and frame lengths depend on it.
+    are comparable; both are read along the one F0 alignment.  Both waveforms
+    must share one sample rate, since Mel bands and frame lengths depend on it.
     """
     if converted.sample_rate != reference.sample_rate:
         raise InvalidParamsError(
@@ -207,7 +213,6 @@ def contour_report(converted: Waveform, reference: Waveform,
     return EvaluationReport(
         mcd_db=distortion,
         ddur_s=duration_gap,
-        n_aligned_frames=len(f0_path),
         f0_conv=f0_conv.f0_hz,
         f0_ref=f0_ref.f0_hz,
         energy_conv=en_conv,

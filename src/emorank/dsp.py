@@ -42,10 +42,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise InvalidParamsError("sample_rate must be positive")
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def load_wav(path) -> Waveform:
     """Read a 16-bit PCM mono RIFF/WAVE file, scaling samples by 1/32768."""

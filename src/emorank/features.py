@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, power_spectrogram
-from .errors import DimensionMismatchError, InvalidParamsError
+from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError
 from .kernels import autocorr_matrix
-from .tables import parse_floats, read_keyed_table, write_table
+from .tables import check_field, check_key, parse_floats, read_keyed_table, write_table
 
 DEFAULT_LLD_FRAME_MS = 25.0
 DEFAULT_LLD_HOP_MS = 10.0
@@ -261,33 +261,32 @@ def feature_index_map() -> list:
 
 
 def check_feature_ids(ids) -> None:
-    """Raise InvalidParamsError unless the ids can key a feature CSV.
+    """Raise ParseError unless the ids can key a feature CSV.
 
     They must be non-empty, unique, and free of commas and line breaks, so
     that read_features_csv reads the file back.
     """
     seen = set()
     for ident in ids:
-        if not ident or "," in ident or ident.splitlines() != [ident]:
-            raise InvalidParamsError(
-                f"feature id {ident!r} must be non-empty without commas or line breaks")
-        if ident in seen:
-            raise InvalidParamsError(f"duplicate feature id {ident!r}")
-        seen.add(ident)
+        check_key(seen, ident, "feature ids")
+        check_field(ident, ",", "feature id")
 
 
 def write_features_csv(ids, matrix, path) -> None:
     """Write one CSV row `id,f000..f383` per id and row of the (n, 384) matrix.
 
-    The ids must pass check_feature_ids; otherwise nothing is written and
-    InvalidParamsError is raised.
+    Nothing is written when an id fails check_feature_ids (ParseError) or a
+    row holds a non-finite value (NonFiniteError naming its id), since
+    read_features_csv would refuse the file.
     """
     ids = list(ids)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.shape != (len(ids), N_FEATURES):
         raise DimensionMismatchError(
             f"expected a ({len(ids)}, {N_FEATURES}) feature matrix, got {matrix.shape}")
-    check_feature_ids(ids)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(f"{path}: feature row {ids[bad[0]]!r} holds a non-finite value")
     write_table(path, ",", FEATURE_CSV_COLUMNS,
                 ([ident, *map(repr, values)] for ident, values in zip(ids, matrix.tolist())))
 

@@ -212,26 +212,20 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
-                 standardize: bool = True,
-                 max_iter: int = DEFAULT_MAX_ITER,
-                 grad_tol: float = DEFAULT_GRAD_TOL) -> RankingModel:
+                 standardize: bool = True) -> RankingModel:
     """Fit ranking weights by Newton iterations on the squared-slack objective.
 
     Features are z-scored (per-column std floored at 1e-8) unless
     standardize is False; a column whose mean, std or z-scores overflow
     raises NonFiniteError.  Iterations stop when the gradient norm falls to
-    grad_tol, after max_iter accepted steps, or when backtracking finds no
-    step that passes the Armijo test (converged stays False); the solver
-    report names which as stop_reason ("gradient", "max_iter" or
-    "line_search").  The report also records the objective after every
-    accepted step; the Armijo test keeps it non-increasing.
+    DEFAULT_GRAD_TOL, after DEFAULT_MAX_ITER accepted steps, or when
+    backtracking finds no step that passes the Armijo test (converged stays
+    False); the solver report names which as stop_reason ("gradient",
+    "max_iter" or "line_search").  The report also records the objective
+    after every accepted step; the Armijo test keeps it non-increasing.
     """
     if not 0.0 < c < np.inf:
         raise InvalidParamsError(f"c must be positive and finite, got {c!r}")
-    if max_iter < 1:
-        raise InvalidParamsError("max_iter must be >= 1")
-    if not 0.0 <= grad_tol < np.inf:
-        raise InvalidParamsError(f"grad_tol must be non-negative and finite, got {grad_tol!r}")
     x = pairs.features
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("features contain non-finite values")
@@ -262,10 +256,10 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
                 + np.bincount(sa, sim, n_rows) - np.bincount(sb, sim, n_rows))
         grad = w + 2.0 * c * (xs.T @ coef)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= grad_tol:
+        if grad_norm <= DEFAULT_GRAD_TOL:
             stop_reason = "gradient"
             break
-        if steps >= max_iter:
+        if steps >= DEFAULT_MAX_ITER:
             stop_reason = "max_iter"
             break
 

@@ -80,7 +80,6 @@ def _render(params: dict, sample_rate: int, emotional: bool) -> np.ndarray:
 
 def generate_mini_corpus(out_dir, n_pairs: int = DEFAULT_PAIRS,
                          emotion: str = DEFAULT_EMOTION,
-                         sample_rate: int = DEFAULT_SR,
                          seed: int = DEFAULT_SEED) -> Path:
     """Write neutral/emotional wav twins plus a manifest; return its path.
 
@@ -102,7 +101,7 @@ def generate_mini_corpus(out_dir, n_pairs: int = DEFAULT_PAIRS,
         for emotional in (False, True):
             stem = f"{emotion}{i:03d}" if emotional else f"neu{i:03d}"
             wav_path = out_dir / f"{stem}.wav"
-            save_wav(wav_path, _render(params, sample_rate, emotional), sample_rate)
+            save_wav(wav_path, _render(params, DEFAULT_SR, emotional), DEFAULT_SR)
             entries.append(ManifestEntry(
                 utt_id=stem,
                 wav_path=wav_path,

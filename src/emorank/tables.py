@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateIdError, MissingFileError, ParseError
+from .errors import DuplicateIdError, MissingFileError, NonFiniteError, ParseError
 
 
 def read_text(path) -> str:
@@ -55,6 +55,13 @@ def check_key(seen: set, key: str, where) -> None:
     seen.add(key)
 
 
+def check_field(value: str, sep: str, what) -> None:
+    """Raise ParseError naming what when value holds sep or a line break read_table splits on."""
+    if sep in value or "".join(value.splitlines()) != value:
+        raise ParseError(f"{what} {value!r} holds "
+                         f"{'a comma' if sep == ',' else 'a tab'} or a line break")
+
+
 def read_keyed_table(path, sep: str, columns):
     """read_table for a keyed table: every row's first field passes check_key."""
     seen = set()
@@ -66,8 +73,8 @@ def read_keyed_table(path, sep: str, columns):
 def write_table(path, sep: str, columns, rows) -> None:
     """Write rows of strings as a keyed table that read_keyed_table reads back as they are.
 
-    A field holding sep, a line break or a character UTF-8 cannot encode, or
-    a key check_key refuses, raises ParseError before the file is opened.
+    A field check_field refuses, a character UTF-8 cannot encode, or a key
+    check_key refuses raises ParseError before the file is opened.
     """
     lines = [sep.join(columns)]
     seen = set()
@@ -76,10 +83,7 @@ def write_table(path, sep: str, columns, rows) -> None:
         line = sep.join(fields)
         if line.count(sep) != len(columns) - 1 or line.splitlines() != [line]:
             for name, value in zip(columns, fields, strict=True):
-                # read_table splits on str.splitlines, so only its breaks count.
-                if sep in value or "".join(value.splitlines()) != value:
-                    raise ParseError(f"{path}:{lineno}: {name} {value!r} holds "
-                                     f"{'a comma' if sep == ',' else 'a tab'} or a line break")
+                check_field(value, sep, f"{path}:{lineno}: {name}")
         lines.append(line)
     try:
         data = "\n".join(lines).encode("utf-8") + b"\n"
@@ -89,8 +93,16 @@ def write_table(path, sep: str, columns, rows) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Write payload as ASCII JSON indented by two spaces, with a final newline."""
-    Path(path).write_bytes(json.dumps(payload, indent=2).encode("ascii") + b"\n")
+    """Write payload as strict ASCII JSON indented by two spaces, with a final newline.
+
+    A NaN or infinite float, which strict JSON cannot hold, raises
+    NonFiniteError before the file is opened.
+    """
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"{path}: {exc}") from exc
+    Path(path).write_bytes(text.encode("ascii") + b"\n")
 
 
 def resolve_wav(path, lineno: int, name: str) -> Path:

@@ -52,9 +52,14 @@ def test_criterion_1_solver_matches_grid_search():
     label = "solver objective matches a dense grid search on small problems"
     with criterion(1, label):
         started = time.perf_counter()
+        # The 1001 x 1001 grid of w = (axis[j], axis[i]), evaluated separably:
+        # w . d is axis[None, :] * d[0] + axis[:, None] * d[1].
         axis = np.linspace(-5.0, 5.0, 1001)
-        mesh = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
-        mesh_sq = 0.5 * (mesh ** 2).sum(axis=1)
+        mesh_sq = 0.5 * (axis[None, :] ** 2 + axis[:, None] ** 2)
+
+        def dot(d):
+            return axis[None, :] * d[0] + axis[:, None] * d[1]
+
         rng = np.random.default_rng(20240)
         for _ in range(20):
             features = rng.normal(0.0, 1.5, (6, 2))
@@ -64,8 +69,8 @@ def test_criterion_1_solver_matches_grid_search():
             model = train_ranker(pairs, c=1.0, standardize=False)
             d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
             d_sim = features[similar[:, 0]] - features[similar[:, 1]]
-            hinge = np.maximum(0.0, 1.0 - mesh @ d_ord.T)
-            grid_vals = mesh_sq + (hinge ** 2).sum(axis=1) + ((mesh @ d_sim.T) ** 2).sum(axis=1)
+            grid_vals = (mesh_sq + sum(np.maximum(0.0, 1.0 - dot(d)) ** 2 for d in d_ord)
+                         + sum(dot(d) ** 2 for d in d_sim))
             assert model.solver_report["final_objective"] <= grid_vals.min() + 1e-3
             assert model.solver_report["converged"]
         assert time.perf_counter() - started < 5.0

@@ -106,6 +106,16 @@ class TestConfig:
         assert load_config(mcep_order=order).mcep_order == order
 
 
+def _conversion_argv(cli_corpus, tmp_path, command) -> list:
+    """eval-conversion or contours on the happy000/neu000 twins, without --out."""
+    conv, ref = cli_corpus["corpus"] / "happy000.wav", cli_corpus["corpus"] / "neu000.wav"
+    if command == "eval-conversion":
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text(f"converted_wav\treference_wav\n{conv}\t{ref}\n")
+        return [command, "--pairs", str(pairs)]
+    return [command, "--converted", str(conv), "--reference", str(ref)]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -156,6 +166,30 @@ class TestExitCodes:
     def test_wav_shorter_than_header_is_1(self, tmp_path, capsys):
         err = self._extract_cut_wav(tmp_path, capsys, 600, 500)
         assert "500 of 1200 declared bytes" in err
+
+    def test_non_finite_feature_vector_is_1(self, cli_corpus, tmp_path, capsys, monkeypatch):
+        # No valid audio gives one; a vector with a NaN must still not reach the file.
+        monkeypatch.setattr("emorank.cli.extract_feature_vector",
+                            lambda *args, **kwargs: np.full(384, np.nan))
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert main(["extract-features", "--manifest", str(cli_corpus["manifest"]),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feature row 'neu000' holds a non-finite value" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval-conversion", "contours"])
+    def test_alignment_over_budget_is_1(self, cli_corpus, tmp_path, capsys, monkeypatch,
+                                        command):
+        monkeypatch.setattr("emorank.conv_metrics.MAX_DTW_CELLS", 100)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(_conversion_argv(cli_corpus, tmp_path, command) + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and re.search(r"aligning \d+ with \d+ frames", err)
+        assert "above the limit of 100" in err
+        assert not out.exists()
 
     def test_non_finite_features_is_1(self, cli_corpus, cli_model, tmp_path, capsys):
         lines = cli_corpus["features"].read_text().splitlines()
@@ -217,14 +251,8 @@ class TestExitCodes:
             raise AssertionError("contour_report ran before the order was checked")
 
         monkeypatch.setattr("emorank.cli.contour_report", no_work)
-        conv, ref = cli_corpus["corpus"] / "happy000.wav", cli_corpus["corpus"] / "neu000.wav"
         out = tmp_path / "out"
-        if command == "eval-conversion":
-            pairs = tmp_path / "pairs.tsv"
-            pairs.write_text(f"converted_wav\treference_wav\n{conv}\t{ref}\n")
-            argv = [command, "--pairs", str(pairs)]
-        else:
-            argv = [command, "--converted", str(conv), "--reference", str(ref)]
+        argv = _conversion_argv(cli_corpus, tmp_path, command)
         capsys.readouterr()
         assert main(argv + ["--out", str(out), "--mcep-order", str(DEFAULT_MCEP_BANDS)]) == 1
         err = capsys.readouterr().err
@@ -350,7 +378,7 @@ class TestExitCodes:
         assert main(["extract-features", "--manifest", str(manifest), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert "feature id 'spk_a,b' must be non-empty without commas or line breaks" in err
+        assert "feature id 'spk_a,b' holds a comma or a line break" in err
         assert loads == []
         assert not out.exists()
 
@@ -819,7 +847,7 @@ class TestSettingsReachCommands:
         capsys.readouterr()
 
         def summary(report):
-            return report.mcd_db, report.ddur_s, report.n_aligned_frames, report.f0_path.tolist()
+            return report.mcd_db, report.ddur_s, report.f0_path.tolist()
 
         expected = contour_report(load_wav(conv), load_wav(ref), **kwargs)
         default = contour_report(load_wav(conv), load_wav(ref))

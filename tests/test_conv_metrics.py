@@ -1,5 +1,7 @@
 """Mel cepstral distortion, DTW alignment, and duration metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from emorank import conv_metrics, features
 from emorank.conv_metrics import (
     DEFAULT_MCEP_BANDS,
+    MAX_DTW_CELLS,
     MCD_ALPHA,
     contour_report,
     ddur,
@@ -71,6 +74,27 @@ class TestMcep:
 
 
 class TestDtwAlign:
+    def test_cell_budget_refused_before_allocating(self):
+        # 20000 x 20000 cells would need about 6 GiB of cost matrix and table.
+        a, b = np.zeros(20000), np.zeros(20000)
+        assert a.size * b.size > MAX_DTW_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParamsError,
+                               match=f"aligning 20000 with 20000 frames .* {MAX_DTW_CELLS}"):
+                dtw_align(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cell_budget_edge(self, monkeypatch):
+        monkeypatch.setattr(conv_metrics, "MAX_DTW_CELLS", 12)
+        pairs, _ = dtw_align(np.zeros(3), np.zeros(4))
+        assert tuple(pairs[-1]) == (2, 3)
+        with pytest.raises(InvalidParamsError, match="aligning 1 with 13 frames"):
+            dtw_align(np.zeros(1), np.zeros(13))
+
     def test_identical_sequences_diagonal(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(12, 3))
@@ -230,7 +254,7 @@ class TestContourReport:
         assert report.mcd_db == 0.0
         assert report.ddur_s == 0.0
         n = report.f0_conv.shape[0]
-        assert report.n_aligned_frames == n
+        assert len(report.f0_path) == n
         i, j = report.f0_path[:, 0], report.f0_path[:, 1]
         np.testing.assert_array_equal(i, j)
         np.testing.assert_array_equal(report.energy_conv[i], report.energy_ref[j])
@@ -241,7 +265,7 @@ class TestContourReport:
         report = contour_report(sine(hz=150.0), sine(hz=300.0, amp=0.2, dur_s=0.8))
         assert report.mcd_db > 0.0
         rows = _contour_rows(report, tmp_path)
-        assert rows.shape == (report.n_aligned_frames, 7)
+        assert rows.shape == (len(report.f0_path), 7)
         assert np.all(rows[:, 3] == report.f0_conv[report.f0_path[:, 0]])
         assert np.all(rows[:, 4] == report.f0_ref[report.f0_path[:, 1]])
 
@@ -266,7 +290,7 @@ class TestContourReport:
         report = contour_report(sine(hz=150.0), sine(hz=300.0, amp=0.2, dur_s=0.8))
         i, j = report.f0_path[:, 0], report.f0_path[:, 1]
         rows = _contour_rows(report, tmp_path)
-        np.testing.assert_array_equal(rows[:, 0], np.arange(report.n_aligned_frames))
+        np.testing.assert_array_equal(rows[:, 0], np.arange(len(report.f0_path)))
         np.testing.assert_array_equal(rows[:, [1, 2]], report.f0_path)
         np.testing.assert_array_equal(rows[:, 5], report.energy_conv[i])
         np.testing.assert_array_equal(rows[:, 6], report.energy_ref[j])
@@ -277,7 +301,7 @@ class TestContourReport:
         write_contour_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "path_idx,i,j,f0_conv,f0_ref,energy_conv,energy_ref"
-        assert len(lines) == 1 + report.n_aligned_frames
+        assert len(lines) == 1 + len(report.f0_path)
         first = lines[1].split(",")
         i, j = int(first[1]), int(first[2])
         assert float(first[3]) == report.f0_conv[i]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emorank.dsp import Waveform
-from emorank.errors import DimensionMismatchError, InvalidParamsError, ParseError
+from emorank.errors import DimensionMismatchError, NonFiniteError, ParseError
 from emorank.features import (
     DEFAULT_SILENCE_RMS,
     DEFAULT_VOICING_THRESHOLD,
@@ -442,8 +442,18 @@ class TestFeatureVector:
                              ids=["empty", "repeated", "comma", "newline"])
     def test_csv_write_rejects_bad_id(self, tmp_path, ids):
         path = tmp_path / "f.csv"
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ParseError):
             write_features_csv(ids, np.zeros((len(ids), N_FEATURES)), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_csv_write_rejects_non_finite_value(self, tmp_path, bad):
+        # read_features_csv refuses such a row, so the writer must not write it.
+        matrix = np.zeros((2, N_FEATURES))
+        matrix[1, 5] = bad
+        path = tmp_path / "f.csv"
+        with pytest.raises(NonFiniteError, match="feature row 'u1' holds a non-finite value"):
+            write_features_csv(["u0", "u1"], matrix, path)
         assert not path.exists()
 
     def test_csv_write_rejects_mismatched_matrix(self, tmp_path):

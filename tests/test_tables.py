@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emorank.errors import DuplicateIdError, ParseError
+from emorank.errors import DuplicateIdError, NonFiniteError, ParseError
 from emorank.tables import read_keyed_table, write_json, write_table
 
 # Every line boundary of str.splitlines, which read_table splits a file on.
@@ -62,3 +62,12 @@ def test_written_bytes(tmp_path):
     write_json(path, {"b": [1.5, "\u00e9"], "a": None})
     assert path.read_bytes() == b'{\n  "b": [\n    1.5,\n    "\\u00e9"\n  ],\n  "a": null\n}\n'
 
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_refuses_non_finite_and_writes_nothing(tmp_path, value):
+    # Strict JSON has no NaN or Infinity token; json.loads would accept them silently.
+    path = tmp_path / "r.json"
+    with pytest.raises(NonFiniteError, match=r"r\.json: Out of range float values"):
+        write_json(path, {"ok": 1.0, "x": [value]})
+    assert not path.exists()
