@@ -1,5 +1,6 @@
 """Emotion intensity ranking from speech prosody and conversion metrics."""
 
+from .config import Config
 from .conv_metrics import contour_report, dtw_align, ddur, mcd, mcep
 from .dsp import Waveform, load_wav, save_wav
 from .emo_eval import (
@@ -21,6 +22,7 @@ from .synthcorpus import generate_mini_corpus
 __version__ = "0.1.0"
 
 __all__ = [
+    "Config",
     "Waveform",
     "build_pairs",
     "clustering_ratio",

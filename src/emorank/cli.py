@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CONFIG_KEYS, Config, load_config
-from .conv_metrics import DDUR_MODES, contour_report, write_contour_csv
+from .config import CONFIG_KEYS, DDUR_MODES, Config, load_config
+from .conv_metrics import contour_report, write_contour_csv
 from .dsp import load_wav
 from .emo_eval import clustering_ratio, read_embeddings_csv
 from .errors import EmorankError, EmptyInputError, InvalidParamsError
@@ -78,8 +78,7 @@ def _cmd_extract_features(args, config: Config) -> int:
     check_feature_ids(ids)
 
     def work(entry):
-        return extract_feature_vector(load_wav(entry.wav_path), frame_ms=config.lld_frame_ms,
-                                      hop_ms=config.lld_hop_ms, **config.voicing())
+        return extract_feature_vector(load_wav(entry.wav_path), config=config)
 
     vectors = _pool_map(work, entries, config.jobs)
     write_features_csv(ids, np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)
@@ -150,20 +149,12 @@ def _read_pairs_tsv(path) -> list:
     return rows
 
 
-def _contour_report(config: Config, converted, reference):
-    """The contour report of two wav files under the configured analysis settings."""
-    return contour_report(load_wav(converted), load_wav(reference),
-                          mcep_order=config.mcep_order, ddur_mode=config.ddur_mode,
-                          frame_ms=config.pitch_frame_ms, hop_ms=config.pitch_hop_ms,
-                          **config.voicing())
-
-
 def _cmd_eval_conversion(args, config: Config) -> int:
     rows = _read_pairs_tsv(args.pairs)
 
     def work(row):
         conv_name, ref_name, conv_path, ref_path = row
-        report = _contour_report(config, conv_path, ref_path)
+        report = contour_report(load_wav(conv_path), load_wav(ref_path), config=config)
         return {
             "converted": conv_name,
             "reference": ref_name,
@@ -189,7 +180,7 @@ def _cmd_eval_conversion(args, config: Config) -> int:
 
 
 def _cmd_contours(args, config: Config) -> int:
-    report = _contour_report(config, args.converted, args.reference)
+    report = contour_report(load_wav(args.converted), load_wav(args.reference), config=config)
     write_contour_csv(report, args.out)
     print(f"MCD {report.mcd_db:.3f} dB, DDUR {report.ddur_s:.3f} s, "
           f"{len(report.f0_path)} aligned frames; wrote {args.out}")

@@ -1,9 +1,11 @@
 """Run configuration: defaults, key = value config files, flag overrides.
 
-Config files are flat UTF-8 `key = value` lines with # comments.  Keys
-must be Config field names; unknown keys are rejected so typos fail
-loudly.  Values on the command line override the file, which overrides
-defaults.
+A Config is the one settings value the analyses read, and it is valid by
+construction: building one checks every range below, for the command line
+and for library callers alike.  Config files are flat UTF-8 `key = value`
+lines with # comments.  Keys must be Config field names; unknown keys are
+rejected so typos fail loudly.  Values on the command line override the
+file, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -11,36 +13,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .conv_metrics import DDUR_MODES, DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER
 from .errors import InvalidParamsError
-from .features import (DEFAULT_F0_MAX_HZ, DEFAULT_F0_MIN_HZ, DEFAULT_LLD_FRAME_MS,
-                       DEFAULT_LLD_HOP_MS, DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS,
-                       DEFAULT_SILENCE_RMS, DEFAULT_VOICING_THRESHOLD)
 from .ranker import DEFAULT_C
 from .tables import read_text
 
 MAX_FRAME_MS = 1000.0  # frames and their FFT buffers grow with the frame length
+DEFAULT_MCEP_BANDS = 40  # Mel bands of mcep; mcep_order stays below it
+DDUR_MODES = ("voiced", "span")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    lld_frame_ms: float = DEFAULT_LLD_FRAME_MS
-    lld_hop_ms: float = DEFAULT_LLD_HOP_MS
-    pitch_frame_ms: float = DEFAULT_PITCH_FRAME_MS
-    pitch_hop_ms: float = DEFAULT_PITCH_HOP_MS
-    pitch_fmin: float = DEFAULT_F0_MIN_HZ
-    pitch_fmax: float = DEFAULT_F0_MAX_HZ
-    voicing_threshold: float = DEFAULT_VOICING_THRESHOLD
-    silence_rms: float = DEFAULT_SILENCE_RMS
+    lld_frame_ms: float = 25.0
+    lld_hop_ms: float = 10.0
+    pitch_frame_ms: float = 40.0
+    pitch_hop_ms: float = 10.0
+    pitch_fmin: float = 60.0
+    pitch_fmax: float = 400.0
+    voicing_threshold: float = 0.45
+    silence_rms: float = 1e-3
     ranker_c: float = DEFAULT_C
     n_similar: int = 0  # 0 means half the ordered-pair count
     seed: int = 0
-    mcep_order: int = DEFAULT_MCEP_ORDER
+    mcep_order: int = 24
     ddur_mode: str = "voiced"
     jobs: int = 0  # 0 means one worker per CPU
     out_dir: str = "."
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is float and not math.isfinite(value):
@@ -67,17 +67,10 @@ class Config:
         if self.ddur_mode not in DDUR_MODES:
             raise InvalidParamsError(f"ddur_mode must be one of {DDUR_MODES}")
 
-    def voicing(self) -> dict:
-        return {
-            "fmin": self.pitch_fmin,
-            "fmax": self.pitch_fmax,
-            "voicing_threshold": self.voicing_threshold,
-            "silence_rms": self.silence_rms,
-        }
-
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(Config)}
 CONFIG_KEYS = frozenset(_FIELD_TYPES)
+DEFAULTS = Config()
 
 
 def parse_config_file(path) -> dict:
@@ -116,6 +109,4 @@ def load_config(file_path=None, **overrides) -> Config:
         if key not in _FIELD_TYPES:
             raise InvalidParamsError(f"unknown config override {key!r}")
         values[key] = value
-    config = Config(**values)
-    config.validate()
-    return config
+    return Config(**values)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DDUR_MODES, DEFAULT_MCEP_BANDS, DEFAULTS, Config
 from .dsp import Waveform, frame, mel_cepstrum, power_spectrogram
 from .errors import (
     DimensionMismatchError,
@@ -22,27 +23,13 @@ from .errors import (
     NonFiniteError,
     OrderMismatchError,
 )
-from .features import (
-    DEFAULT_F0_MAX_HZ,
-    DEFAULT_F0_MIN_HZ,
-    DEFAULT_PITCH_FRAME_MS,
-    DEFAULT_PITCH_HOP_MS,
-    DEFAULT_SILENCE_RMS,
-    DEFAULT_VOICING_THRESHOLD,
-    F0Contour,
-    energy_contour,
-    ms_to_samples,
-    pitch_contour,
-)
+from .features import F0Contour, energy_contour, ms_to_samples, pitch_contour
 from .kernels import dtw_table
 from .tables import write_table
 
 MCD_ALPHA = 10.0 * np.sqrt(2.0) / np.log(10.0)
-DEFAULT_MCEP_ORDER = 24
-DEFAULT_MCEP_BANDS = 40
 DEFAULT_MCEP_FRAME_MS = 25.0
 DEFAULT_MCEP_HOP_MS = 10.0
-DDUR_MODES = ("voiced", "span")
 CONTOUR_CSV_COLUMNS = ("path_idx", "i", "j", "f0_conv", "f0_ref", "energy_conv", "energy_ref")
 # Rows of the DTW cost matrix built at once: bounds the difference tensor
 # to COST_BLOCK_ROWS * m * d values instead of n * m * d.
@@ -65,7 +52,7 @@ class EvaluationReport:
     f0_path: np.ndarray
 
 
-def mcep(waveform: Waveform, order: int = DEFAULT_MCEP_ORDER) -> np.ndarray:
+def mcep(waveform: Waveform, order: int = DEFAULTS.mcep_order) -> np.ndarray:
     """Mel cepstra c0..order of DEFAULT_MCEP_BANDS Mel bands, (n_frames, order + 1)."""
     if order < 1 or order >= DEFAULT_MCEP_BANDS:
         raise InvalidParamsError(
@@ -160,7 +147,7 @@ def _voiced_duration_s(contour: F0Contour, mode: str) -> float:
     return float(where[-1] - where[0] + 1) * hop_s
 
 
-def ddur(converted: F0Contour, reference: F0Contour, mode: str = "voiced") -> float:
+def ddur(converted: F0Contour, reference: F0Contour, mode: str = DEFAULTS.ddur_mode) -> float:
     """Absolute voiced-duration difference in seconds between two F0 contours.
 
     Mode "voiced" counts all voiced frames; mode "span" measures first to
@@ -173,27 +160,23 @@ def ddur(converted: F0Contour, reference: F0Contour, mode: str = "voiced") -> fl
     return abs(ref - conv)
 
 
-def _prosody(waveform: Waveform, frame_len: int, hop: int, *voicing) -> tuple:
-    """F0 and energy contours from one framing; one waveform's frames live at a time."""
-    frames = frame(waveform, frame_len, hop)
+def _prosody(waveform: Waveform, config: Config) -> tuple:
+    """F0 and energy contours from one pitch framing; one waveform's frames live at a time."""
     sr = waveform.sample_rate
-    return pitch_contour(frames, sr, hop, *voicing), energy_contour(frames, sr)
+    hop = ms_to_samples(sr, config.pitch_hop_ms)
+    frames = frame(waveform, ms_to_samples(sr, config.pitch_frame_ms), hop)
+    return pitch_contour(frames, sr, hop, config), energy_contour(frames, sr)
 
 
 def contour_report(converted: Waveform, reference: Waveform,
-                   mcep_order: int = DEFAULT_MCEP_ORDER,
-                   ddur_mode: str = "voiced",
-                   frame_ms: float = DEFAULT_PITCH_FRAME_MS,
-                   hop_ms: float = DEFAULT_PITCH_HOP_MS,
-                   fmin: float = DEFAULT_F0_MIN_HZ,
-                   fmax: float = DEFAULT_F0_MAX_HZ,
-                   voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
-                   silence_rms: float = DEFAULT_SILENCE_RMS) -> EvaluationReport:
+                   config: Config = DEFAULTS) -> EvaluationReport:
     """Evaluate one converted/reference pair.
 
     F0 and energy contours share the pitch framing so their frame indices
     are comparable; both are read along the one F0 alignment.  Both waveforms
-    must share one sample rate, since Mel bands and frame lengths depend on it.
+    must share one sample rate, since Mel bands and frame lengths depend on it,
+    and each must hold at least the longer of the pitch and mcep frames:
+    a zero-padded frame would give a plausible distortion for no speech.
     """
     if converted.sample_rate != reference.sample_rate:
         raise InvalidParamsError(
@@ -201,14 +184,20 @@ def contour_report(converted: Waveform, reference: Waveform,
             f"reference {reference.sample_rate} Hz"
         )
     sr = converted.sample_rate
-    pitch_args = (ms_to_samples(sr, frame_ms), ms_to_samples(sr, hop_ms),
-                  fmin, fmax, voicing_threshold, silence_rms)
-    f0_conv, en_conv = _prosody(converted, *pitch_args)
-    f0_ref, en_ref = _prosody(reference, *pitch_args)
+    frame_len = max(ms_to_samples(sr, config.pitch_frame_ms),
+                    ms_to_samples(sr, DEFAULT_MCEP_FRAME_MS))
+    for side, waveform in (("converted", converted), ("reference", reference)):
+        if waveform.samples.size < frame_len:
+            raise EmptyInputError(
+                f"{side} waveform has {waveform.samples.size} samples, "
+                f"fewer than one {frame_len}-sample frame")
+    f0_conv, en_conv = _prosody(converted, config)
+    f0_ref, en_ref = _prosody(reference, config)
 
     f0_path, _ = dtw_align(f0_conv.f0_hz, f0_ref.f0_hz)
-    distortion = mcd(mcep(converted, order=mcep_order), mcep(reference, order=mcep_order))
-    duration_gap = ddur(f0_conv, f0_ref, mode=ddur_mode)
+    distortion = mcd(mcep(converted, order=config.mcep_order),
+                     mcep(reference, order=config.mcep_order))
+    duration_gap = ddur(f0_conv, f0_ref, mode=config.ddur_mode)
 
     return EvaluationReport(
         mcd_db=distortion,

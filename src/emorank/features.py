@@ -15,19 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS, Config
 from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, power_spectrogram
-from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError
 from .kernels import autocorr_matrix
 from .tables import check_field, check_key, parse_floats, read_keyed_table, write_table
-
-DEFAULT_LLD_FRAME_MS = 25.0
-DEFAULT_LLD_HOP_MS = 10.0
-DEFAULT_PITCH_FRAME_MS = 40.0
-DEFAULT_PITCH_HOP_MS = 10.0
-DEFAULT_F0_MIN_HZ = 60.0
-DEFAULT_F0_MAX_HZ = 400.0
-DEFAULT_VOICING_THRESHOLD = 0.45
-DEFAULT_SILENCE_RMS = 1e-3
 
 N_MEL_FILTERS = 26
 N_MFCC = 12
@@ -88,19 +80,16 @@ def _climb_to_peak(corr: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
-                  fmin: float = DEFAULT_F0_MIN_HZ,
-                  fmax: float = DEFAULT_F0_MAX_HZ,
-                  voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
-                  silence_rms: float = DEFAULT_SILENCE_RMS) -> F0Contour:
+                  config: Config = DEFAULTS) -> F0Contour:
     """Track F0 over frames cut hop samples apart, by normalized autocorrelation.
 
     A frame is voiced when its best normalized autocorrelation in the lag
-    range for [fmin, fmax] reaches voicing_threshold and its RMS reaches
-    silence_rms.  Voiced frames carry f0 in [fmin, fmax], so f0 > 0 marks
-    them; unvoiced frames carry f0 = 0.
+    range for [config.pitch_fmin, config.pitch_fmax] reaches
+    config.voicing_threshold and its RMS reaches config.silence_rms.  Voiced
+    frames carry f0 in that range, so f0 > 0 marks them; unvoiced frames
+    carry f0 = 0.
     """
-    if not 0.0 < fmin < fmax:
-        raise InvalidParamsError("need 0 < fmin < fmax")
+    fmin, fmax = config.pitch_fmin, config.pitch_fmax
     n_frames, frame_len = frames.shape
     rms = frame_rms(frames)
     lag_min = max(2, int(np.floor(sample_rate / fmax)))
@@ -130,7 +119,7 @@ def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
     lag_star[interior] += np.clip(shift, -0.5, 0.5)
 
     f0 = np.clip(sample_rate / lag_star, fmin, fmax)
-    voiced = (peak >= voicing_threshold) & (rms >= silence_rms)
+    voiced = (peak >= config.voicing_threshold) & (rms >= config.silence_rms)
     return F0Contour(np.where(voiced, f0, 0.0), hop / sample_rate, peak, rms)
 
 
@@ -139,24 +128,18 @@ def energy_contour(frames: np.ndarray, sample_rate: int) -> np.ndarray:
     return mel_energy_totals(power_spectrogram(frames), N_MEL_FILTERS, sample_rate)
 
 
-def compute_llds(waveform: Waveform,
-                 frame_ms: float = DEFAULT_LLD_FRAME_MS,
-                 hop_ms: float = DEFAULT_LLD_HOP_MS,
-                 fmin: float = DEFAULT_F0_MIN_HZ,
-                 fmax: float = DEFAULT_F0_MAX_HZ,
-                 voicing_threshold: float = DEFAULT_VOICING_THRESHOLD,
-                 silence_rms: float = DEFAULT_SILENCE_RMS) -> np.ndarray:
-    """Compute the 16 per-frame descriptors on a shared framing, (n_frames, 16).
+def compute_llds(waveform: Waveform, config: Config = DEFAULTS) -> np.ndarray:
+    """Compute the 16 per-frame descriptors on the LLD framing, (n_frames, 16).
 
     Columns follow LLD_COLUMNS: zero-crossing rate, RMS, F0 (0 when
     unvoiced), harmonics-to-noise ratio in dB clamped to +/-60, and MFCCs
     1..12 from a 26-filter Mel bank.
     """
     sr = waveform.sample_rate
-    hop = ms_to_samples(sr, hop_ms)
-    x = frame(waveform, ms_to_samples(sr, frame_ms), hop)
+    hop = ms_to_samples(sr, config.lld_hop_ms)
+    x = frame(waveform, ms_to_samples(sr, config.lld_frame_ms), hop)
 
-    pitch = pitch_contour(x, sr, hop, fmin, fmax, voicing_threshold, silence_rms)
+    pitch = pitch_contour(x, sr, hop, config)
 
     # HNR from the autocorrelation peak: 10 log10(r / (1 - r)), clamped.
     safe = np.clip(pitch.peak, 1e-12, 1.0 - 1e-12)
@@ -233,14 +216,14 @@ def functionals(llds: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def extract_feature_vector(waveform: Waveform, provenance: str = "",
-                           **lld_kwargs) -> np.ndarray:
+                           config: Config = DEFAULTS) -> np.ndarray:
     """Full pipeline from waveform to the 384-dimensional vector.
 
     provenance is not used.  It stays in the signature because the traced
     benchmark's tests (perfbench/tests/test_bench_spans.py) label a call with
     it positionally.
     """
-    llds = compute_llds(waveform, **lld_kwargs)
+    llds = compute_llds(waveform, config)
     return functionals(llds, delta(llds))
 
 

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
+from emorank.config import DEFAULTS
 from emorank.dsp import Waveform, frame
-from emorank.features import (
-    DEFAULT_LLD_FRAME_MS,
-    DEFAULT_LLD_HOP_MS,
-    DEFAULT_PITCH_FRAME_MS,
-    DEFAULT_PITCH_HOP_MS,
-    extract_feature_vector,
-    ms_to_samples,
-)
+from emorank.features import extract_feature_vector, ms_to_samples
 from emorank.manifest import parse_manifest
 from emorank.synthcorpus import generate_mini_corpus
 
@@ -32,7 +26,7 @@ def framed():
     These are the leading arguments of pitch_contour; energy_contour takes
     the first two.  Session-scoped, so hypothesis tests can use it.
     """
-    def cut(waveform, frame_ms=DEFAULT_PITCH_FRAME_MS, hop_ms=DEFAULT_PITCH_HOP_MS):
+    def cut(waveform, frame_ms=DEFAULTS.pitch_frame_ms, hop_ms=DEFAULTS.pitch_hop_ms):
         sr = waveform.sample_rate
         hop = ms_to_samples(sr, hop_ms)
         return frame(waveform, ms_to_samples(sr, frame_ms), hop), sr, hop
@@ -55,8 +49,8 @@ def corpus_frames(mini_corpus, framed):
     cuts = []
     for entry in mini_corpus:
         waveform = load_wav(entry.wav_path)
-        for frame_ms, hop_ms in ((DEFAULT_LLD_FRAME_MS, DEFAULT_LLD_HOP_MS),
-                                 (DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS)):
+        for frame_ms, hop_ms in ((DEFAULTS.lld_frame_ms, DEFAULTS.lld_hop_ms),
+                                 (DEFAULTS.pitch_frame_ms, DEFAULTS.pitch_hop_ms)):
             cuts.append(framed(waveform, frame_ms, hop_ms)[:2])
     return cuts
 

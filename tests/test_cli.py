@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,8 @@ import pytest
 
 import emorank
 from emorank.cli import main
-from emorank.config import Config, load_config, parse_config_file
-from emorank.conv_metrics import DEFAULT_MCEP_BANDS, contour_report, write_contour_csv
+from emorank.config import DEFAULT_MCEP_BANDS, Config, load_config, parse_config_file
+from emorank.conv_metrics import contour_report, write_contour_csv
 from emorank.dsp import load_wav, save_wav
 from emorank.errors import InvalidParamsError
 from emorank.features import extract_feature_vector, read_features_csv
@@ -43,7 +43,20 @@ def cli_corpus(tmp_path_factory):
 
 class TestConfig:
     def test_defaults_validate(self):
-        Config().validate()
+        Config()
+
+    @pytest.mark.parametrize("setting", [{"pitch_fmin": 500.0}, {"voicing_threshold": 2.0},
+                                         {"mcep_order": 40}, {"ddur_mode": "frames"}],
+                             ids=["pitch_fmin", "voicing_threshold", "mcep_order", "ddur_mode"])
+    def test_out_of_range_refused_when_built(self, setting):
+        with pytest.raises(InvalidParamsError):
+            Config(**setting)
+
+    def test_fields_are_frozen(self):
+        config = Config()
+        with pytest.raises(FrozenInstanceError):
+            config.pitch_fmax = 300.0
+        assert config == Config()
 
     def test_parse_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -106,9 +119,9 @@ class TestConfig:
         assert load_config(mcep_order=order).mcep_order == order
 
 
-def _conversion_argv(cli_corpus, tmp_path, command) -> list:
-    """eval-conversion or contours on the happy000/neu000 twins, without --out."""
-    conv, ref = cli_corpus["corpus"] / "happy000.wav", cli_corpus["corpus"] / "neu000.wav"
+def _conversion_argv(cli_corpus, tmp_path, command, conv=None) -> list:
+    """eval-conversion or contours on conv (default happy000) against neu000, without --out."""
+    conv, ref = conv or cli_corpus["corpus"] / "happy000.wav", cli_corpus["corpus"] / "neu000.wav"
     if command == "eval-conversion":
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text(f"converted_wav\treference_wav\n{conv}\t{ref}\n")
@@ -189,6 +202,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and re.search(r"aligning \d+ with \d+ frames", err)
         assert "above the limit of 100" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval-conversion", "contours"])
+    def test_pair_too_short_to_frame_is_1(self, cli_corpus, tmp_path, capsys, command):
+        # Zero-padded to one frame, 5 samples would align and give a plausible MCD.
+        save_wav(tmp_path / "short.wav", np.full(5, 0.1), 16000)
+        argv = _conversion_argv(cli_corpus, tmp_path, command, conv=tmp_path / "short.wav")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: converted waveform has 5 samples, fewer than one 640-sample frame\n"
         assert not out.exists()
 
     def test_non_finite_features_is_1(self, cli_corpus, cli_model, tmp_path, capsys):
@@ -798,16 +823,18 @@ class TestSettingsReachCommands:
         capsys.readouterr()
         assert seen == expected
 
-    @pytest.mark.parametrize("key, argument, value", [
-        ("lld_frame_ms", "frame_ms", 30.0),
-        ("lld_hop_ms", "hop_ms", 12.0),
-        ("pitch_fmin", "fmin", 150.0),
-        ("pitch_fmax", "fmax", 250.0),
-        ("voicing_threshold", "voicing_threshold", 0.8),
-        ("silence_rms", "silence_rms", 0.05),
-    ])
-    def test_config_reaches_extract_features(self, cli_corpus, tmp_path, capsys,
-                                             key, argument, value):
+    # The ids are the ones earlier runs of the suite reported, kept so results compare.
+    @pytest.mark.parametrize("key, value", [
+        ("lld_frame_ms", 30.0),
+        ("lld_hop_ms", 12.0),
+        ("pitch_fmin", 150.0),
+        ("pitch_fmax", 250.0),
+        ("voicing_threshold", 0.8),
+        ("silence_rms", 0.05),
+    ], ids=["lld_frame_ms-frame_ms-30.0", "lld_hop_ms-hop_ms-12.0", "pitch_fmin-fmin-150.0",
+            "pitch_fmax-fmax-250.0", "voicing_threshold-voicing_threshold-0.8",
+            "silence_rms-silence_rms-0.05"])
+    def test_config_reaches_extract_features(self, cli_corpus, tmp_path, capsys, key, value):
         wav = cli_corpus["corpus"] / "happy000.wav"
         manifest = tmp_path / "m.tsv"
         manifest.write_text("utt_id\twav_path\tspeaker\temotion\tsplit\n"
@@ -818,18 +845,19 @@ class TestSettingsReachCommands:
                      "--config", str(tmp_path / "run.cfg")]) == 0
         capsys.readouterr()
         waveform = load_wav(wav)
-        expected = extract_feature_vector(waveform, **{argument: value})
+        expected = extract_feature_vector(waveform, config=Config(**{key: value}))
         assert not np.array_equal(expected, extract_feature_vector(waveform))
         np.testing.assert_array_equal(read_features_csv(out)[1][0], expected)
 
-    @pytest.mark.parametrize("flags, kwargs", [
-        (["pitch_frame_ms = 30"], {"frame_ms": 30.0}),
-        (["pitch_hop_ms = 12"], {"hop_ms": 12.0}),
-        (["--mcep-order", "12"], {"mcep_order": 12}),
-        (["--ddur-mode", "span"], {"ddur_mode": "span"}),
-    ], ids=["pitch_frame_ms", "pitch_hop_ms", "mcep_order", "ddur_mode"])
+    CONTOUR_SETTINGS = [("pitch_frame_ms", 30.0), ("pitch_hop_ms", 12.0),
+                        ("pitch_fmin", 150.0), ("pitch_fmax", 250.0),
+                        ("voicing_threshold", 0.8), ("silence_rms", 0.05),
+                        ("mcep_order", 12), ("ddur_mode", "span")]
+
+    @pytest.mark.parametrize("key, value", CONTOUR_SETTINGS,
+                             ids=[key for key, _ in CONTOUR_SETTINGS])
     def test_setting_reaches_contours(self, cli_corpus, tmp_path, capsys, monkeypatch,
-                                      flags, kwargs):
+                                      key, value):
         reports = []
 
         def recording(*args, **kw):
@@ -837,8 +865,11 @@ class TestSettingsReachCommands:
             return reports[-1]
 
         monkeypatch.setattr("emorank.cli.contour_report", recording)
-        if not flags[0].startswith("--"):
-            (tmp_path / "run.cfg").write_text(flags[0] + "\n")
+        # A key with a flag on this command is set by its flag, the others by a config file.
+        if key in ("mcep_order", "ddur_mode"):
+            flags = ["--" + key.replace("_", "-"), str(value)]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
             flags = ["--config", str(tmp_path / "run.cfg")]
         conv, ref = cli_corpus["corpus"] / "happy001.wav", cli_corpus["corpus"] / "neu001.wav"
         out = tmp_path / "c.csv"
@@ -849,7 +880,7 @@ class TestSettingsReachCommands:
         def summary(report):
             return report.mcd_db, report.ddur_s, report.f0_path.tolist()
 
-        expected = contour_report(load_wav(conv), load_wav(ref), **kwargs)
+        expected = contour_report(load_wav(conv), load_wav(ref), Config(**{key: value}))
         default = contour_report(load_wav(conv), load_wav(ref))
         assert summary(expected) != summary(default)
         assert [summary(r) for r in reports] == [summary(expected)]

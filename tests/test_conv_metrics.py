@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emorank import conv_metrics, features
+from emorank.config import DEFAULT_MCEP_BANDS, Config
 from emorank.conv_metrics import (
-    DEFAULT_MCEP_BANDS,
     MAX_DTW_CELLS,
     MCD_ALPHA,
     contour_report,
@@ -28,7 +28,7 @@ from emorank.errors import (
     NonFiniteError,
     OrderMismatchError,
 )
-from emorank.features import pitch_contour
+from emorank.features import ms_to_samples, pitch_contour
 
 
 def _seq(rows):
@@ -281,6 +281,25 @@ class TestContourReport:
         contour_report(sine(dur_s=0.5), sine(hz=180.0, dur_s=0.6))
         # One 40 ms pitch framing and one 25 ms MCEP framing per waveform.
         assert sorted(framings) == [400, 400, 640, 640]
+
+    @pytest.mark.parametrize("pitch_frame_ms", [40.0, 20.0])
+    def test_shortest_pair_is_one_frame(self, sine, monkeypatch, pitch_frame_ms):
+        # The longer of the pitch frame and mcep's 25 ms frame: 640, then 400 samples.
+        config = Config(pitch_frame_ms=pitch_frame_ms)
+        n = max(ms_to_samples(16000, pitch_frame_ms), 400)
+        full = Waveform(sine().samples[:n], 16000)
+        report = contour_report(full, Waveform(sine(hz=180.0).samples[:n], 16000), config)
+        assert len(report.f0_path) == 1
+
+        def no_framing(*args):
+            raise AssertionError("a waveform was framed before its length was checked")
+
+        monkeypatch.setattr(conv_metrics, "frame", no_framing)
+        short = Waveform(full.samples[: n - 1], 16000)
+        for side, pair in (("converted", (short, full)), ("reference", (full, short))):
+            with pytest.raises(EmptyInputError, match=f"{side} waveform has {n - 1} samples, "
+                                                      f"fewer than one {n}-sample frame"):
+                contour_report(*pair, config)
 
     def test_sample_rate_mismatch_rejected(self, sine):
         with pytest.raises(InvalidParamsError, match="sample rates differ"):

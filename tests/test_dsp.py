@@ -17,7 +17,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import dct, idct
 
 import emorank
-from emorank.conv_metrics import DEFAULT_MCEP_BANDS, DEFAULT_MCEP_ORDER, mcep
+from emorank.config import DEFAULT_MCEP_BANDS, DEFAULTS
+from emorank.conv_metrics import mcep
 from emorank.dsp import (
     Waveform,
     _mel_support,
@@ -454,7 +455,7 @@ class TestMelHelpersMatchInlineFormula:
     def test_mcep(self, name):
         waveform = _oracle_waveforms()[name]
         coeffs = mcep(waveform)
-        expected = _cepstrum_inline(waveform, DEFAULT_MCEP_BANDS)[:, : DEFAULT_MCEP_ORDER + 1]
+        expected = _cepstrum_inline(waveform, DEFAULT_MCEP_BANDS)[:, : DEFAULTS.mcep_order + 1]
         np.testing.assert_allclose(coeffs, expected, rtol=0.0, atol=CEPSTRUM_ATOL)
 
     def test_energy_contour(self, name, framed):

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from emorank.config import DEFAULTS, Config
 from emorank.dsp import Waveform
 from emorank.errors import DimensionMismatchError, NonFiniteError, ParseError
 from emorank.features import (
-    DEFAULT_SILENCE_RMS,
-    DEFAULT_VOICING_THRESHOLD,
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
     N_FEATURES,
@@ -239,14 +238,14 @@ class TestPitch:
         voiced = contour.f0_hz > 0.0
         assert voiced.any() and not voiced.all()
         np.testing.assert_array_equal(voiced, _voicing_rule(
-            contour, DEFAULT_VOICING_THRESHOLD, DEFAULT_SILENCE_RMS))
+            contour, DEFAULTS.voicing_threshold, DEFAULTS.silence_rms))
 
     @settings(max_examples=200, deadline=None)
     @given(_voicing_cases())
     def test_f0_positive_exactly_where_voiced(self, case):
         frames, voicing_threshold, silence_rms = case
-        contour = pitch_contour(frames, VOICING_SR, 80, voicing_threshold=voicing_threshold,
-                                silence_rms=silence_rms)
+        contour = pitch_contour(frames, VOICING_SR, 80, Config(
+            voicing_threshold=voicing_threshold, silence_rms=silence_rms))
         np.testing.assert_array_equal(contour.f0_hz > 0.0,
                                       _voicing_rule(contour, voicing_threshold, silence_rms))
 

@@ -10,22 +10,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import irfft, next_fast_len, rfft
 
 from emorank import kernels
+from emorank.config import DEFAULTS
 from emorank.conv_metrics import ddur
 from emorank.dsp import Waveform
 from emorank.errors import InvalidParamsError
-from emorank.features import (
-    DEFAULT_F0_MAX_HZ,
-    DEFAULT_F0_MIN_HZ,
-    DEFAULT_LLD_FRAME_MS,
-    DEFAULT_LLD_HOP_MS,
-    DEFAULT_PITCH_FRAME_MS,
-    DEFAULT_PITCH_HOP_MS,
-    DEFAULT_SILENCE_RMS,
-    DEFAULT_VOICING_THRESHOLD,
-    compute_llds,
-    frame_rms,
-    pitch_contour,
-)
+from emorank.features import compute_llds, frame_rms, pitch_contour
 
 EPS = np.finfo(np.float64).eps
 
@@ -111,8 +100,8 @@ def _assert_autocorr_bitwise(frames, lag_min, lag_max):
 
 def _pitch_lags(sample_rate, frame_len):
     """The lag range pitch_contour asks of the kernel at the default F0 range."""
-    return (max(2, int(np.floor(sample_rate / DEFAULT_F0_MAX_HZ))),
-            min(int(np.ceil(sample_rate / DEFAULT_F0_MIN_HZ)), frame_len - 1))
+    return (max(2, int(np.floor(sample_rate / DEFAULTS.pitch_fmax))),
+            min(int(np.ceil(sample_rate / DEFAULTS.pitch_fmin)), frame_len - 1))
 
 
 class TestNumpyKernels:
@@ -293,22 +282,23 @@ class TestEdgeSignals:
         waveform = EDGE_SIGNALS[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for frame_ms, hop_ms in ((DEFAULT_PITCH_FRAME_MS, DEFAULT_PITCH_HOP_MS),
-                                     (DEFAULT_LLD_FRAME_MS, DEFAULT_LLD_HOP_MS)):
+            for frame_ms, hop_ms in ((DEFAULTS.pitch_frame_ms, DEFAULTS.pitch_hop_ms),
+                                     (DEFAULTS.lld_frame_ms, DEFAULTS.lld_hop_ms)):
                 frames, sr, hop = framed(waveform, frame_ms, hop_ms)
                 _assert_autocorr_bitwise(frames, *_pitch_lags(sr, frames.shape[1]))
                 contour = pitch_contour(frames, sr, hop)
                 f0 = contour.f0_hz
-                assert np.all((f0 == 0.0) | ((f0 >= DEFAULT_F0_MIN_HZ) & (f0 <= DEFAULT_F0_MAX_HZ)))
+                in_range = (f0 >= DEFAULTS.pitch_fmin) & (f0 <= DEFAULTS.pitch_fmax)
+                assert np.all((f0 == 0.0) | in_range)
                 np.testing.assert_array_equal(
-                    f0 > 0.0, (contour.peak >= DEFAULT_VOICING_THRESHOLD)
-                    & (contour.rms >= DEFAULT_SILENCE_RMS))
+                    f0 > 0.0, (contour.peak >= DEFAULTS.voicing_threshold)
+                    & (contour.rms >= DEFAULTS.silence_rms))
                 assert ddur(contour, contour) == 0.0
                 assert ddur(contour, contour, mode="span") == 0.0
             llds = compute_llds(waveform)
         assert np.all(np.isfinite(llds))
         # compute_llds reads the RMS the tracker computed on the LLD framing.
-        lld_frames = framed(waveform, DEFAULT_LLD_FRAME_MS, DEFAULT_LLD_HOP_MS)[0]
+        lld_frames = framed(waveform, DEFAULTS.lld_frame_ms, DEFAULTS.lld_hop_ms)[0]
         np.testing.assert_array_equal(llds[:, 1], frame_rms(lld_frames))
 
     @pytest.mark.parametrize("name", ["tone_8000", "tone_48000"])
