@@ -78,7 +78,11 @@ def _cmd_extract_features(args, config: Config) -> int:
     check_feature_ids(ids)
 
     def work(entry):
-        return extract_feature_vector(load_wav(entry.wav_path), config=config)
+        waveform = load_wav(entry.wav_path)
+        try:
+            return extract_feature_vector(waveform, config=config)
+        except EmptyInputError as exc:  # a wav shorter than one frame
+            raise EmptyInputError(f"{entry.wav_path}: {exc}") from exc
 
     vectors = _pool_map(work, entries, config.jobs)
     write_features_csv(ids, np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)

@@ -1,11 +1,11 @@
 """Run configuration: defaults, key = value config files, flag overrides.
 
 A Config is the one settings value the analyses read, and it is valid by
-construction: building one checks every range below, for the command line
-and for library callers alike.  Config files are flat UTF-8 `key = value`
-lines with # comments.  Keys must be Config field names; unknown keys are
-rejected so typos fail loudly.  Values on the command line override the
-file, which overrides defaults.
+construction: building one checks every field's type and every range
+below, for the command line and for library callers alike.  Config files
+are flat UTF-8 `key = value` lines with # comments.  Keys must be Config
+field names; unknown keys are rejected so typos fail loudly.  Values on
+the command line override the file, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class Config:
     def __post_init__(self) -> None:
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
+            # bool is an int subclass, but True is no frame length or seed.
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise InvalidParamsError(f"{name} must be {kind.__name__}, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise InvalidParamsError(f"{name} must be finite, got {value!r}")
         positive = ("lld_frame_ms", "lld_hop_ms", "pitch_frame_ms", "pitch_hop_ms",

@@ -96,20 +96,20 @@ def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
 
 
 def frame(waveform: Waveform, frame_len: int, hop: int) -> np.ndarray:
-    """Cut a waveform into a C-contiguous (n_frames, frame_len) array.
+    """Cut a waveform into floor((n_samples - frame_len) / hop) + 1 frames.
 
-    Yields floor((n_samples - frame_len) / hop) + 1 frames.  Inputs shorter
-    than one frame produce a single zero-padded frame.
+    The (n_frames, frame_len) result is a read-only strided view of the
+    samples, so framing copies nothing.  A waveform shorter than one frame
+    raises EmptyInputError: a zero-padded frame would give plausible
+    features for no speech.
     """
     if frame_len < 1 or hop < 1:
         raise InvalidParamsError("frame_len and hop must be >= 1")
     x = waveform.samples
     if x.size < frame_len:
-        padded = np.zeros((1, frame_len))
-        padded[0, : x.size] = x
-        return padded
-    windows = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return np.ascontiguousarray(windows, dtype=np.float64)
+        raise EmptyInputError(
+            f"waveform has {x.size} samples, fewer than one {frame_len}-sample frame")
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 def power_spectrogram(frames: np.ndarray) -> np.ndarray:

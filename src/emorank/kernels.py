@@ -5,8 +5,9 @@ programming table for time alignment and the per-frame normalized
 autocorrelation used by pitch tracking.  The table is filled one
 anti-diagonal at a time, whose cells depend only on the two diagonals
 before it; the autocorrelation numerators come from FFTs (Wiener-Khinchin),
-run a block of frames at a time, while its energies, divide and tie guard
-run once on the whole frame matrix.
+run a block of frames at a time, while its energies and divide run once on
+the whole frame matrix.  Both only read their input, so a frame matrix may
+be a read-only strided view of the samples.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .errors import InvalidParamsError
 
 # Frames per FFT block in autocorr_matrix, which bounds its working memory.
 AUTOCORR_BLOCK_FRAMES = 32
-# Bound on the FFT numerators' rounding, in ulps of the frame energy.
-PEAK_ULPS = 64
 
 
 def dtw_table(cost: np.ndarray) -> np.ndarray:
@@ -62,18 +61,16 @@ def autocorr_matrix(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarra
     with tau = lag_min + k, zero where either energy term vanishes.  The
     numerators are the inverse FFT of each frame's power spectrum, with
     enough zero padding (frame_len + lag_max) that no lag up to lag_max
-    wraps around.  They differ from direct sums by rounding, within
-    PEAK_ULPS ulps of the frame's energy, which is enough to reorder lags
-    that tie within rounding, such as the multiples of an exact period.
-    In a row where more than one entry could be the maximum within that
-    bound, those entries are recomputed as direct sums, so each row's
-    maximum sits where the per-lag sums put it.
+    wraps around.  They differ from direct sums by rounding, within 64 ulps
+    of the frame's energy, which can reorder lags that tie within rounding,
+    such as the multiples of an exact period: a row's argmax may differ
+    from the direct sums', its maximum value only by that rounding.
 
     Only the FFT chain runs AUTOCORR_BLOCK_FRAMES frames at a time, which
-    bounds its working memory; the energies, the divide and the tie guard
-    each run once on the whole matrix.  A block makes six NumPy calls
-    where it made over twenty, so the threads of --jobs spend less time
-    in per-call work that holds the GIL.
+    bounds its working memory; the energies and the divide each run once on
+    the whole matrix.  A block makes six NumPy calls where it made over
+    twenty, so the threads of --jobs spend less time in per-call work that
+    holds the GIL.  frames is only read, so it may be a read-only view.
     """
     n_frames, frame_len = frames.shape
     if not 0 <= lag_min <= lag_max < frame_len:
@@ -81,7 +78,7 @@ def autocorr_matrix(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarra
             f"need 0 <= lag_min <= lag_max < frame_len, got lag_min {lag_min}, "
             f"lag_max {lag_max}, frame_len {frame_len}"
         )
-    denom, total = _denominators(frames, lag_min, lag_max)
+    denom = _denominators(frames, lag_min, lag_max)
 
     out = np.empty(denom.shape)
     n_fft = next_fast_len(frame_len + lag_max, real=True)
@@ -98,63 +95,23 @@ def autocorr_matrix(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarra
         num = irfft(spectrum, n=n_fft, axis=1, overwrite_x=True)
         out[lo:hi] = num[:, lag_min : lag_max + 1]
 
-    live = denom > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= denom
-    out[~live] = 0.0
-    bound = PEAK_ULPS * np.finfo(np.float64).eps * total
-    _fix_near_ties(frames, lag_min, out, denom, live, bound)
+    out[~(denom > 0.0)] = 0.0
     return out
 
 
 def _denominators(frames, lag_min, lag_max):
-    """sqrt(head * tail) energies per frame and lag, and each frame's energy."""
+    """sqrt(head * tail) energies per frame and lag."""
     n_frames, frame_len = frames.shape
     prefix = np.zeros((n_frames, frame_len + 1))
     energy = np.multiply(frames, frames, out=prefix[:, 1:])
     np.cumsum(energy, axis=1, out=energy)
-    total = prefix[:, frame_len].copy()
     # head[:, k] = energy of x[0 : frame_len - tau], tail[:, k] = of x[tau:].
     head = prefix[:, frame_len - lag_max : frame_len - lag_min + 1][:, ::-1]
-    denom = total[:, None] - prefix[:, lag_min : lag_max + 1]
+    denom = prefix[:, frame_len:] - prefix[:, lag_min : lag_max + 1]
     denom *= head
-    return np.sqrt(denom, out=denom), total
-
-
-def _fix_near_ties(frames, lag_min, out, denom, live, bound) -> None:
-    """Recompute as direct sums the entries that could be a row's maximum.
-
-    Entry k of a row is off by at most err = bound / denom[k] (0 where the
-    denominator is 0).  It is near the top when out + err reaches the
-    row's maximum less the maximum's err, and a row with more than one
-    near entry gets its live near entries recomputed.  Each err is at most
-    E = bound / smallest, smallest being the row's smallest live
-    denominator, so a near entry lies within 2E of the maximum up
-    to the rounding of that comparison.  E is at least PEAK_ULPS ulps of 1
-    (no denominator exceeds the frame energy), far above that rounding, so
-    only rows with two entries at or above max - 4E take the exact test.
-    """
-    smallest = np.min(denom, axis=1, where=live, initial=np.inf)
-    margin = 4.0 * (bound / smallest)
-    reach = out >= (out.max(axis=1) - margin)[:, None]
-    rows = np.flatnonzero(np.count_nonzero(reach, axis=1) > 1)
-    if rows.size == 0:
-        return
-    sub = out[rows]
-    live = live[rows]
-    err = np.zeros_like(sub)
-    np.divide(bound[rows, None], denom[rows], out=err, where=live)
-    at = np.arange(rows.size)
-    top = sub.argmax(axis=1)
-    near = sub + err >= (sub[at, top] - err[at, top])[:, None]
-    near &= (np.count_nonzero(near, axis=1) > 1)[:, None]
-    near_at, near_lags = np.nonzero(near & live)
-    frame_len = frames.shape[1]
-    for k in np.unique(near_lags):
-        f = rows[near_at[near_lags == k]]
-        tau = lag_min + k
-        num = np.einsum("ij,ij->i", frames[f, : frame_len - tau], frames[f, tau:])
-        out[f, k] = num / denom[f, k]
+    return np.sqrt(denom, out=denom)
 
 
 def active_backend() -> str:

@@ -52,6 +52,19 @@ class TestConfig:
         with pytest.raises(InvalidParamsError):
             Config(**setting)
 
+    @pytest.mark.parametrize("setting", [{"mcep_order": 12.5}, {"seed": 1.5},
+                                         {"pitch_fmax": "300"}, {"jobs": True},
+                                         {"ranker_c": False}, {"ddur_mode": 1}],
+                             ids=["mcep_order", "seed", "pitch_fmax", "jobs_bool",
+                                  "ranker_c_bool", "ddur_mode"])
+    def test_wrong_type_refused_when_built(self, setting):
+        (name,) = setting
+        with pytest.raises(InvalidParamsError, match=f"^{name} must be "):
+            Config(**setting)
+
+    def test_int_taken_for_float_field(self):
+        assert Config(pitch_fmax=300).pitch_fmax == 300.0
+
     def test_fields_are_frozen(self):
         config = Config()
         with pytest.raises(FrozenInstanceError):
@@ -214,6 +227,19 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "error: converted waveform has 5 samples, fewer than one 640-sample frame\n"
+        assert not out.exists()
+
+    def test_wav_too_short_to_frame_is_1(self, tmp_path, capsys):
+        # Zero-padded to one frame, 5 samples would give a plausible vector.
+        save_wav(tmp_path / "short.wav", np.full(5, 0.1), 16000)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("utt_id\twav_path\tspeaker\temotion\tsplit\n"
+                            "u0\tshort.wav\tspk\tneutral\ttrain\n")
+        out = tmp_path / "f.csv"
+        assert main(["extract-features", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'short.wav'}: waveform has 5 samples, "
+                       "fewer than one 400-sample frame\n")
         assert not out.exists()
 
     def test_non_finite_features_is_1(self, cli_corpus, cli_model, tmp_path, capsys):

@@ -40,7 +40,7 @@ from emorank.errors import (
     NonFiniteError,
     UnsupportedFormatError,
 )
-from emorank.features import N_MEL_FILTERS, N_MFCC, compute_llds, energy_contour
+from emorank.features import N_MEL_FILTERS, N_MFCC, compute_llds, energy_contour, ms_to_samples
 
 # Output bound of the sparse Mel application against the dense product.
 MEL_RTOL = 1e-12
@@ -229,18 +229,27 @@ class TestFrame:
         w = Waveform(np.arange(100, dtype=float), 16000)
         frames = frame(w, 40, 20)
         assert frames.shape == (4, 40)
-        assert frames.dtype == np.float64 and frames.flags.c_contiguous
+        assert frames.dtype == np.float64
         np.testing.assert_array_equal(frames[1], np.arange(20, 60))
+
+    def test_read_only_view_of_samples(self):
+        w = Waveform(np.arange(100, dtype=float), 16000)
+        frames = frame(w, 40, 20)
+        assert np.shares_memory(frames, w.samples)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0] = 1.0
 
     def test_count_one_second(self):
         w = Waveform(np.zeros(16000), 16000)
         assert frame(w, 800, 200).shape == (77, 800)
 
-    def test_short_input_zero_padded(self):
+    def test_short_input_refused(self):
         w = Waveform(np.array([1.0, 2.0]), 16000)
-        frames = frame(w, 5, 2)
-        assert frames.shape == (1, 5)
-        np.testing.assert_array_equal(frames[0], [1.0, 2.0, 0.0, 0.0, 0.0])
+        with pytest.raises(EmptyInputError, match="waveform has 2 samples, fewer than one "
+                                                  "5-sample frame"):
+            frame(w, 5, 2)
+        assert frame(Waveform(np.ones(5), 16000), 5, 2).shape == (1, 5)
 
     def test_count_formula_random(self):
         rng = np.random.default_rng(0)
@@ -249,14 +258,14 @@ class TestFrame:
             flen = int(rng.integers(1, 80))
             hop = int(rng.integers(1, 40))
             x = rng.normal(size=n)
-            frames = frame(Waveform(x, 8000), flen, hop)
-            assert frames.shape[1] == flen
             if n < flen:
-                assert frames.shape[0] == 1
-            else:
-                assert frames.shape[0] == (n - flen) // hop + 1
-                i = frames.shape[0] - 1
-                np.testing.assert_array_equal(frames[i], x[i * hop : i * hop + flen])
+                with pytest.raises(EmptyInputError):
+                    frame(Waveform(x, 8000), flen, hop)
+                continue
+            frames = frame(Waveform(x, 8000), flen, hop)
+            assert frames.shape == ((n - flen) // hop + 1, flen)
+            i = frames.shape[0] - 1
+            np.testing.assert_array_equal(frames[i], x[i * hop : i * hop + flen])
 
     def test_frames_match_slices(self):
         rng = np.random.default_rng(1)
@@ -432,8 +441,22 @@ def _oracle_waveforms():
                                    + rng.normal(0.0, 0.05, t16.size), 16000),
         "silence_16k": Waveform(np.zeros(8000), 16000),
         "chirp_8k": Waveform(0.5 * np.sin(2 * np.pi * (120.0 + 300.0 * t8) * t8), 8000),
+        "one_frame": Waveform(rng.normal(0.0, 0.1, 400), 16000),
         "shorter_than_a_frame": Waveform(rng.normal(0.0, 0.1, 150), 16000),
     }
+
+
+def _short_refused(waveform, analysis) -> bool:
+    """Whether waveform is shorter than one 25 ms frame, which analysis refuses.
+
+    There is no oracle to match for such a waveform: it has no frame.
+    """
+    frame_len = ms_to_samples(waveform.sample_rate, 25.0)
+    if waveform.samples.size >= frame_len:
+        return False
+    with pytest.raises(EmptyInputError, match=f"fewer than one {frame_len}-sample frame"):
+        analysis(waveform)
+    return True
 
 
 @pytest.mark.parametrize("name", sorted(_oracle_waveforms()))
@@ -448,21 +471,41 @@ class TestMelHelpersMatchInlineFormula:
 
     def test_mfcc_columns(self, name):
         waveform = _oracle_waveforms()[name]
+        if _short_refused(waveform, compute_llds):
+            return
         mfcc = compute_llds(waveform)[:, 4 : 4 + N_MFCC]
         expected = _cepstrum_inline(waveform, N_MEL_FILTERS)[:, 1 : N_MFCC + 1]
         np.testing.assert_allclose(mfcc, expected, rtol=0.0, atol=CEPSTRUM_ATOL)
 
     def test_mcep(self, name):
         waveform = _oracle_waveforms()[name]
+        if _short_refused(waveform, mcep):
+            return
         coeffs = mcep(waveform)
         expected = _cepstrum_inline(waveform, DEFAULT_MCEP_BANDS)[:, : DEFAULTS.mcep_order + 1]
         np.testing.assert_allclose(coeffs, expected, rtol=0.0, atol=CEPSTRUM_ATOL)
 
     def test_energy_contour(self, name, framed):
         waveform = _oracle_waveforms()[name]
+        if _short_refused(waveform, lambda w: energy_contour(*framed(w, 25.0)[:2])):
+            return
         expected = _mel_outputs_inline(waveform, N_MEL_FILTERS).sum(axis=1)
         np.testing.assert_allclose(energy_contour(*framed(waveform, 25.0)[:2]), expected,
                                    rtol=MEL_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000])
+def test_one_sample_short_of_a_frame_refused(sample_rate):
+    # frame, and the two analyses that frame a waveform themselves, at the
+    # 25 ms frame of both the LLDs and the Mel cepstra.
+    frame_len = ms_to_samples(sample_rate, 25.0)
+    short = Waveform(np.full(frame_len - 1, 0.1), sample_rate)
+    whole = Waveform(np.full(frame_len, 0.1), sample_rate)
+    message = f"waveform has {frame_len - 1} samples, fewer than one {frame_len}-sample frame"
+    for analysis in (lambda w: frame(w, frame_len, frame_len), compute_llds, mcep):
+        with pytest.raises(EmptyInputError, match=message):
+            analysis(short)
+        assert analysis(whole).shape[0] == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -510,9 +553,11 @@ class TestSparseMelApplication:
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from([8000, 16000, 22050]), st.integers(20, 50),
-           st.integers(1, 4000), st.sampled_from([0.0, 1e-15, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+           st.integers(0, 4000), st.sampled_from([0.0, 1e-15, 1.0, 1e3]), st.integers(0, 2**32 - 1))
     def test_energy_contour_matches_dense_row_sum(self, framed, sample_rate, frame_ms,
-                                                   n_samples, scale, seed):
+                                                   extra, scale, seed):
+        # At least one whole frame: frame refuses a shorter waveform.
+        n_samples = ms_to_samples(sample_rate, frame_ms) + extra
         samples = scale * np.random.default_rng(seed).normal(size=n_samples)
         waveform = Waveform(samples, sample_rate)
         energy = energy_contour(*framed(waveform, frame_ms)[:2])

@@ -1,14 +1,20 @@
 """Low-level descriptors, deltas, functionals, and the 384-d vector."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import emorank
 from emorank.config import DEFAULTS, Config
 from emorank.dsp import Waveform
-from emorank.errors import DimensionMismatchError, NonFiniteError, ParseError
+from emorank.errors import DimensionMismatchError, EmptyInputError, NonFiniteError, ParseError
 from emorank.features import (
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
@@ -38,6 +44,8 @@ FUNCTIONALS_ATOL = 1e-12
 # These come from the same reductions in the same order, so they are exact.
 BITWISE_FUNCTIONALS = ("mean", "stddev", "min", "rel_min_pos", "max", "rel_max_pos",
                        "range")
+# Peak resident growth of extract_feature_vector on 60 s at 16 kHz, in MB.
+PEAK_GROWTH_MB_PER_MINUTE = 56.0
 
 
 def _col(name):
@@ -397,10 +405,45 @@ class TestFeatureVector:
         assert vec.shape == (384,)
         assert np.all(np.isfinite(vec))
 
-    def test_short_input_still_valid(self):
-        vec = extract_feature_vector(Waveform(np.ones(100) * 0.1, 16000))
-        assert vec.shape == (384,)
-        assert np.all(np.isfinite(vec))
+    def test_short_input_refused(self):
+        # 100 samples are 6.25 ms, shorter than one 25 ms (400-sample) frame.
+        with pytest.raises(EmptyInputError, match="fewer than one 400-sample frame"):
+            extract_feature_vector(Waveform(np.ones(100) * 0.1, 16000))
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="needs VmHWM and VmRSS from /proc/self/status")
+    def test_peak_memory_bounded_on_a_minute(self):
+        # A fresh process, since a process's peak resident size cannot be
+        # reset; ru_maxrss would also carry the parent's peak across exec.
+        # Frames copied out of the samples peaked at 66 MB for this minute
+        # of audio; as views of the samples they peak at 48 MB.  The signal
+        # is built a second at a time, so no large temporary sets the peak.
+        child = (
+            "import numpy as np\n"
+            "from emorank.dsp import Waveform\n"
+            "from emorank.features import extract_feature_vector\n"
+            "def status_mb(key):\n"
+            "    with open('/proc/self/status', encoding='ascii') as handle:\n"
+            "        for line in handle:\n"
+            "            if line.startswith(key + ':'):\n"
+            "                return int(line.split()[1]) / 1024\n"
+            "sr = 16000\n"
+            "rng = np.random.default_rng(0)\n"
+            "samples = np.empty(60 * sr)\n"
+            "for lo in range(0, samples.size, sr):\n"
+            "    t = np.arange(lo, lo + sr) / sr\n"
+            "    samples[lo : lo + sr] = (0.5 * np.sin(2 * np.pi * 140.0 * t)\n"
+            "                             + rng.normal(0.0, 0.05, sr))\n"
+            "waveform = Waveform(samples, sr)\n"
+            "before = status_mb('VmRSS')\n"
+            "extract_feature_vector(waveform)\n"
+            "print(status_mb('VmHWM') - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", child], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < PEAK_GROWTH_MB_PER_MINUTE
 
     def test_index_map_layout(self):
         entries = feature_index_map()
