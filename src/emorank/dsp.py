@@ -14,7 +14,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import EmptyInputError, InvalidParamsError, NonFiniteError, UnsupportedFormatError
 
@@ -216,10 +215,33 @@ def mel_energy_totals(power: np.ndarray, n_mels: int, sample_rate: int) -> np.nd
     return np.einsum("ij,j->i", power, column_sums)
 
 
+@functools.lru_cache(maxsize=32)
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix, (n, n): row k holds basis vector k.
+
+    matrix[k, j] = s_k cos(pi k (2j + 1) / (2n)), with s_0 = sqrt(1/n) and
+    s_k = sqrt(2/n).  The integer k (2j + 1) is reduced modulo 4n before
+    the scaling by pi, which keeps matrix @ matrix.T within a few ulps of
+    the identity.  The matrix is cached and shared, so it is read-only.
+    """
+    k = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    matrix = np.cos(np.pi * ((k * (2 * j + 1)) % (4 * n)) / (2 * n))
+    matrix *= np.sqrt(2.0 / n)
+    matrix[0] = np.sqrt(1.0 / n)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def mel_cepstrum(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:
-    """Orthonormal DCT-II of the log Mel energies floored at DEFAULT_LOG_FLOOR, per row."""
+    """Orthonormal DCT-II of the log Mel energies floored at DEFAULT_LOG_FLOOR, per row.
+
+    The DCT is _dct_matrix applied with einsum, not a matrix product, for
+    the reason mel_energies gives.
+    """
     energies = mel_energies(power, n_mels, sample_rate)
-    return dct(np.log(np.maximum(energies, DEFAULT_LOG_FLOOR)), type=2, norm="ortho", axis=1)
+    log_energies = np.log(np.maximum(energies, DEFAULT_LOG_FLOOR))
+    return np.einsum("ij,kj->ik", log_energies, _dct_matrix(n_mels))
 
 
 def next_pow2(n: int) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULTS, Config
 from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, power_spectrogram
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError
 from .kernels import autocorr_matrix
 from .tables import check_field, check_key, parse_floats, read_keyed_table, write_table
 
@@ -87,15 +87,19 @@ def pitch_contour(frames: np.ndarray, sample_rate: int, hop: int,
     range for [config.pitch_fmin, config.pitch_fmax] reaches
     config.voicing_threshold and its RMS reaches config.silence_rms.  Voiced
     frames carry f0 in that range, so f0 > 0 marks them; unvoiced frames
-    carry f0 = 0.
+    carry f0 = 0.  A frame too short to hold two lags of that range raises
+    InvalidParamsError rather than report every frame unvoiced.
     """
     fmin, fmax = config.pitch_fmin, config.pitch_fmax
     n_frames, frame_len = frames.shape
-    rms = frame_rms(frames)
     lag_min = max(2, int(np.floor(sample_rate / fmax)))
     lag_max = min(int(np.ceil(sample_rate / fmin)), frame_len - 1)
     if lag_max <= lag_min:
-        return F0Contour(np.zeros(n_frames), hop / sample_rate, np.zeros(n_frames), rms)
+        raise InvalidParamsError(
+            f"a {frame_len}-sample frame at {sample_rate} Hz holds fewer than two lags for F0 in "
+            f"[{fmin:g}, {fmax:g}] Hz (lags {lag_min}..{lag_max})"
+        )
+    rms = frame_rms(frames)
     corr = autocorr_matrix(frames, lag_min, lag_max)
     peak = corr.max(axis=1)
     rows = np.arange(n_frames)

@@ -13,7 +13,7 @@ be a read-only strided view of the samples.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import InvalidParamsError
 
@@ -81,24 +81,41 @@ def autocorr_matrix(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarra
     denom = _denominators(frames, lag_min, lag_max)
 
     out = np.empty(denom.shape)
-    n_fft = next_fast_len(frame_len + lag_max, real=True)
-    # A zero-padded copy: scipy.fft pads more slowly than this.
+    n_fft = _next_fast_len(frame_len + lag_max)
+    # A zero-padded copy: rfft(..., n=n_fft) pads more slowly than this.
     padded = np.zeros((min(n_frames, AUTOCORR_BLOCK_FRAMES), n_fft))
     for lo in range(0, n_frames, AUTOCORR_BLOCK_FRAMES):
         hi = min(lo + AUTOCORR_BLOCK_FRAMES, n_frames)
         block = padded[: hi - lo]
         block[:, :frame_len] = frames[lo:hi]
         spectrum = rfft(block, axis=1)
-        # |X|^2 kept complex: scipy.fft converts a real input more slowly,
-        # and re^2 + im^2 rounds differently from this product.
+        # |X|^2 kept complex: irfft converts a real input to complex more
+        # slowly, and re^2 + im^2 rounds differently from this product.
         spectrum *= spectrum.conj()
-        num = irfft(spectrum, n=n_fft, axis=1, overwrite_x=True)
+        num = irfft(spectrum, n=n_fft, axis=1)
         out[lo:hi] = num[:, lag_min : lag_max + 1]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= denom
     out[~(denom > 0.0)] = 0.0
     return out
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2**a * 3**b * 5**c) >= n, for n >= 1.
+
+    numpy.fft is fastest on lengths with only these prime factors.
+    """
+    best = 1 << (n - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5  # 3**b * 5**c
+        while odd < best:
+            # The smallest power-of-two multiple of odd that reaches n.
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        power5 *= 5
+    return best
 
 
 def _denominators(frames, lag_min, lag_max):

@@ -26,6 +26,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+# numpy.random loads with this module, not at the first draw, so the
+# import of the package holds it before any command's work starts.
+from numpy.random import default_rng
 
 from .errors import (
     DimensionMismatchError,
@@ -121,7 +124,7 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
     if seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     total = emo.size * neu.size
     if total <= MAX_ORDERED_PAIRS:
         ordered = np.column_stack([np.repeat(emo, neu.size), np.tile(neu, emo.size)])

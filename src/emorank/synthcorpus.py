@@ -12,6 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .dsp import save_wav
 from .errors import InvalidParamsError
@@ -27,7 +28,7 @@ _EDGE_MS = 20.0
 _NOISE_STD = 0.0015
 
 
-def _sample_params(rng: np.random.Generator) -> dict:
+def _sample_params(rng: Generator) -> dict:
     n_syl = int(rng.integers(3, 6))
     return {
         "n_syllables": n_syl,
@@ -73,7 +74,7 @@ def _render(params: dict, sample_rate: int, emotional: bool) -> np.ndarray:
     chunks.append(np.zeros(int(sample_rate * 0.1)))
 
     signal = np.concatenate(chunks)
-    noise_rng = np.random.default_rng(params["noise_seed"] + int(emotional))
+    noise_rng = default_rng(params["noise_seed"] + int(emotional))
     signal = signal + noise_rng.normal(0.0, _NOISE_STD, signal.size)
     return np.clip(signal, -0.98, 0.98)
 
@@ -94,7 +95,7 @@ def generate_mini_corpus(out_dir, n_pairs: int = DEFAULT_PAIRS,
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     entries = []
     for i in range(n_pairs):
         params = _sample_params(rng)

@@ -242,6 +242,24 @@ class TestExitCodes:
                        "fewer than one 400-sample frame\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval-conversion", "contours", "extract-features"])
+    def test_empty_lag_range_is_1(self, cli_corpus, tmp_path, capsys, command):
+        # 10 ms frames at 16 kHz hold lags up to 159 samples, and F0 up to
+        # 100 Hz needs 160 or more: no contour can be tracked.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lld_frame_ms = 10\npitch_frame_ms = 10\npitch_fmax = 100\n")
+        if command == "extract-features":
+            argv = [command, "--manifest", str(cli_corpus["manifest"])]
+        else:
+            argv = _conversion_argv(cli_corpus, tmp_path, command)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: a 160-sample frame at 16000 Hz holds fewer than two lags "
+                       "for F0 in [60, 100] Hz (lags 160..159)\n")
+        assert not out.exists()
+
     def test_non_finite_features_is_1(self, cli_corpus, cli_model, tmp_path, capsys):
         lines = cli_corpus["features"].read_text().splitlines()
         for row, value in ((1, "nan"), (2, "inf")):
@@ -464,6 +482,23 @@ def _run_cli(*argv) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "emorank.cli", *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_numpy_transforms_and_no_scipy():
+    # perfbench/memprobe.py counts resident growth after `import emorank.cli`
+    # as the commands' work, so the modules they use load with the import:
+    # numpy.fft, and numpy.random, which train-ranker and synth-corpus draw
+    # from.  SciPy, which the package does not need, must not load at all.
+    child = ("import sys, emorank.cli\n"
+             "print(' '.join(sorted(m for m in sys.modules\n"
+             "                      if m.split('.')[0] in ('scipy', 'numpy'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", child], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {"numpy.fft", "numpy.random"} <= loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
 class TestNonUtf8Input:

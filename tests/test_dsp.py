@@ -21,10 +21,12 @@ from emorank.config import DEFAULT_MCEP_BANDS, DEFAULTS
 from emorank.conv_metrics import mcep
 from emorank.dsp import (
     Waveform,
+    _dct_matrix,
     _mel_support,
     frame,
     hz_to_mel,
     load_wav,
+    mel_cepstrum,
     mel_energies,
     mel_energy_totals,
     mel_filterbank,
@@ -45,6 +47,7 @@ from emorank.features import N_MEL_FILTERS, N_MFCC, compute_llds, energy_contour
 # Output bound of the sparse Mel application against the dense product.
 MEL_RTOL = 1e-12
 CEPSTRUM_ATOL = 1e-12
+EPS = np.finfo(np.float64).eps
 
 
 def _write_pcm(path, values, sr=16000, channels=1, sampwidth=2):
@@ -405,6 +408,35 @@ class TestMelLogSpectrogram:
         b = mcep(Waveform(np.concatenate([np.zeros(hop), x]), 16000))
         assert b.shape[0] == a.shape[0] + 1
         np.testing.assert_array_equal(b[1:], a)
+
+
+class TestDctMatrix:
+    """The cosine-matrix DCT-II of mel_cepstrum against scipy.fft.dct."""
+
+    @pytest.mark.parametrize("n", [1, 2, 13, N_MEL_FILTERS, DEFAULT_MCEP_BANDS, 64])
+    def test_orthonormal(self, n):
+        matrix = _dct_matrix(n)
+        gram = np.einsum("ij,kj->ik", matrix, matrix)
+        np.testing.assert_allclose(gram, np.eye(n), rtol=0.0, atol=4 * EPS)
+
+    def test_cached_read_only(self):
+        assert _dct_matrix(N_MEL_FILTERS) is _dct_matrix(N_MEL_FILTERS)
+        assert not _dct_matrix(N_MEL_FILTERS).flags.writeable
+
+    @pytest.mark.parametrize("n_mels", [N_MEL_FILTERS, DEFAULT_MCEP_BANDS])
+    def test_mel_cepstrum_matches_scipy(self, n_mels):
+        # A coefficient sums n_mels products of |log energy| <= 23.1 (the log
+        # floor) and |weight| <= 1, so each order of summation rounds within
+        # n_mels ulps of the row's largest |log energy|.
+        rng = np.random.default_rng(12)
+        frames = np.vstack([np.zeros((2, 400)), rng.normal(0.0, 0.3, (30, 400)),
+                            0.5 * np.sin(2 * np.pi * 180.0 * np.arange(400) / 16000)[None]])
+        power = power_spectrogram(frames)
+        log_energies = np.log(np.maximum(mel_energies(power, n_mels, 16000), 1e-10))
+        bound = n_mels * EPS * np.abs(log_energies).max(axis=1, keepdims=True)
+        got = mel_cepstrum(power, n_mels, 16000)
+        expected = dct(log_energies, type=2, norm="ortho", axis=1)
+        assert np.all(np.abs(got - expected) <= bound)
 
 
 def _mel_outputs_inline(waveform, n_bands, frame_ms=25.0, hop_ms=10.0):

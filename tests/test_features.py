@@ -14,7 +14,13 @@ from hypothesis.extra.numpy import arrays
 import emorank
 from emorank.config import DEFAULTS, Config
 from emorank.dsp import Waveform
-from emorank.errors import DimensionMismatchError, EmptyInputError, NonFiniteError, ParseError
+from emorank.errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    InvalidParamsError,
+    NonFiniteError,
+    ParseError,
+)
 from emorank.features import (
     FUNCTIONAL_NAMES,
     LLD_COLUMNS,
@@ -222,6 +228,24 @@ class TestPitch:
         # frames fully inside the 8000-sample prefix start at <= 7360
         assert not contour.f0_hz[:46].any()
         assert contour.f0_hz[50:80].all()
+
+    @pytest.mark.parametrize("frame_len, lags", [(160, "160..159"), (161, "160..160")])
+    def test_lag_range_too_short_refused(self, frame_len, lags):
+        # At 16 kHz, F0 up to 100 Hz needs lags of 160 samples or more; a
+        # frame of frame_len samples holds lags up to frame_len - 1.
+        frames = np.zeros((3, frame_len))
+        with pytest.raises(InvalidParamsError) as info:
+            pitch_contour(frames, 16000, 160, Config(pitch_fmax=100.0))
+        assert str(info.value) == (
+            f"a {frame_len}-sample frame at 16000 Hz holds fewer than two lags for F0 in "
+            f"[60, 100] Hz (lags {lags})")
+
+    def test_two_lags_tracked(self, sine):
+        # One sample more than the refused frames: lags 160 and 161, and a
+        # 100 Hz tone peaks at the first.
+        frames = sine(hz=100.0, amp=0.5).samples[:162][None, :]
+        contour = pitch_contour(frames, 16000, 160, Config(pitch_fmax=100.0))
+        assert contour.f0_hz[0] == 100.0
 
     def test_amplitude_invariance(self, sine, framed):
         a = pitch_contour(*framed(sine(amp=0.6)))

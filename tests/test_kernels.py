@@ -150,6 +150,10 @@ class TestNumpyKernels:
         np.testing.assert_allclose(kernels.autocorr_matrix(frames, 40, 267), ref,
                                    rtol=0.0, atol=1e-13)
 
+    def test_next_fast_len_matches_scipy(self):
+        for n in range(1, 20001):
+            assert kernels._next_fast_len(n) == next_fast_len(n, real=True), n
+
     @pytest.mark.parametrize("lag_min, lag_max", [(60, 50), (-1, 10), (40, 105), (10, 100)])
     def test_autocorr_rejects_lag_range(self, lag_min, lag_max):
         with pytest.raises(InvalidParamsError, match="lag_min"):
