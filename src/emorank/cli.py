@@ -80,11 +80,18 @@ def _cmd_extract_features(args, config: Config) -> int:
     def work(entry):
         waveform = load_wav(entry.wav_path)
         try:
-            return extract_feature_vector(waveform, config=config)
+            return waveform.sample_rate, extract_feature_vector(waveform, config=config)
         except EmptyInputError as exc:  # a wav shorter than one frame
             raise EmptyInputError(f"{entry.wav_path}: {exc}") from exc
 
-    vectors = _pool_map(work, entries, config.jobs)
+    results = _pool_map(work, entries, config.jobs)
+    # Frame lengths and Mel bands depend on the rate, so rows of two rates
+    # are not comparable features.
+    wav_of_rate = {rate: entry.wav_path for entry, (rate, _) in zip(entries, results)}
+    if len(wav_of_rate) > 1:
+        raise InvalidParamsError("manifest wavs differ in sample rate: " + ", ".join(
+            f"{wav} is {rate} Hz" for rate, wav in sorted(wav_of_rate.items())))
+    vectors = [vector for _, vector in results]
     write_features_csv(ids, np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)
     print(f"wrote {len(vectors)} feature rows to {args.out}")
     return 0
@@ -109,9 +116,8 @@ def _cmd_train_ranker(args, config: Config) -> int:
         )
     features = matrix[[row_of[e.utt_id] for e in rows]]
     labels = ["neutral" if e.emotion == "neutral" else "emotional" for e in rows]
-    pairs = build_pairs(features, labels,
-                        n_similar=config.n_similar or None, seed=config.seed)
-    model = train_ranker(pairs, c=config.ranker_c, emotion=args.emotion)
+    pairs = build_pairs(features, labels, config)
+    model = train_ranker(pairs, config, emotion=args.emotion)
     save_model(model, args.out)
     report = model.solver_report
     print(f"trained {args.emotion} ranker on {len(rows)} utterances "

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import InvalidParamsError
-from .ranker import DEFAULT_C
 from .tables import read_text
 
 MAX_FRAME_MS = 1000.0  # frames and their FFT buffers grow with the frame length
 DEFAULT_MCEP_BANDS = 40  # Mel bands of mcep; mcep_order stays below it
+MAX_ORDERED_PAIRS = 10000  # ordered pairs the ranker samples at most; n_similar's cap
 DDUR_MODES = ("voiced", "span")
 
 
@@ -32,7 +32,7 @@ class Config:
     pitch_fmax: float = 400.0
     voicing_threshold: float = 0.45
     silence_rms: float = 1e-3
-    ranker_c: float = DEFAULT_C
+    ranker_c: float = 1.0
     n_similar: int = 0  # 0 means half the ordered-pair count
     seed: int = 0
     mcep_order: int = 24
@@ -66,8 +66,11 @@ class Config:
         if not 1 <= self.mcep_order < DEFAULT_MCEP_BANDS:
             raise InvalidParamsError(
                 f"mcep_order must be in [1, {DEFAULT_MCEP_BANDS - 1}], got {self.mcep_order}")
-        if self.n_similar < 0 or self.jobs < 0 or self.seed < 0:
-            raise InvalidParamsError("n_similar, jobs and seed must be >= 0")
+        if not 0 <= self.n_similar <= MAX_ORDERED_PAIRS:
+            raise InvalidParamsError(
+                f"n_similar must be in [0, {MAX_ORDERED_PAIRS}], got {self.n_similar}")
+        if self.jobs < 0 or self.seed < 0:
+            raise InvalidParamsError("jobs and seed must be >= 0")
         if self.ddur_mode not in DDUR_MODES:
             raise InvalidParamsError(f"ddur_mode must be one of {DDUR_MODES}")
 

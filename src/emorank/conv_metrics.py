@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DDUR_MODES, DEFAULT_MCEP_BANDS, DEFAULTS, Config
+from .config import DEFAULT_MCEP_BANDS, DEFAULTS, Config
 from .dsp import Waveform, frame, mel_cepstrum, power_spectrogram
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidParamsError,
-    NonFiniteError,
-    OrderMismatchError,
-)
+from .errors import DimensionMismatchError, EmptyInputError, InvalidParamsError, NonFiniteError
 from .features import F0Contour, energy_contour, ms_to_samples, pitch_contour
 from .kernels import dtw_table
 from .tables import write_table
@@ -52,15 +46,13 @@ class EvaluationReport:
     f0_path: np.ndarray
 
 
-def mcep(waveform: Waveform, order: int = DEFAULTS.mcep_order) -> np.ndarray:
-    """Mel cepstra c0..order of DEFAULT_MCEP_BANDS Mel bands, (n_frames, order + 1)."""
-    if order < 1 or order >= DEFAULT_MCEP_BANDS:
-        raise InvalidParamsError(
-            f"order must be in [1, {DEFAULT_MCEP_BANDS - 1}], got {order}")
+def mcep(waveform: Waveform, config: Config = DEFAULTS) -> np.ndarray:
+    """Mel cepstra c0..config.mcep_order of DEFAULT_MCEP_BANDS Mel bands, one row per frame."""
     sr = waveform.sample_rate
     frames = frame(waveform, ms_to_samples(sr, DEFAULT_MCEP_FRAME_MS),
                    ms_to_samples(sr, DEFAULT_MCEP_HOP_MS))
-    return mel_cepstrum(power_spectrogram(frames), DEFAULT_MCEP_BANDS, sr)[:, : order + 1]
+    cepstra = mel_cepstrum(power_spectrogram(frames), DEFAULT_MCEP_BANDS, sr)
+    return cepstra[:, : config.mcep_order + 1]
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -124,12 +116,10 @@ def dtw_align(a, b) -> tuple:
 def mcd(a: np.ndarray, b: np.ndarray) -> float:
     """Mean Mel cepstral distortion in dB over the DTW-aligned path, c0 excluded.
 
-    a and b hold cepstra c0..order, one row per frame.  The alignment's
-    total cost already sums the per-frame distances along the path.
+    a and b hold cepstra c0..order, one row per frame; dtw_align refuses
+    different orders.  The alignment's total cost already sums the per-frame
+    distances along the path.
     """
-    if a.shape[1] != b.shape[1]:
-        raise OrderMismatchError(
-            f"cepstral orders differ: {a.shape[1] - 1} vs {b.shape[1] - 1}")
     ca = a[:, 1:]
     cb = b[:, 1:]
     path, total = dtw_align(ca, cb)
@@ -147,16 +137,14 @@ def _voiced_duration_s(contour: F0Contour, mode: str) -> float:
     return float(where[-1] - where[0] + 1) * hop_s
 
 
-def ddur(converted: F0Contour, reference: F0Contour, mode: str = DEFAULTS.ddur_mode) -> float:
+def ddur(converted: F0Contour, reference: F0Contour, config: Config = DEFAULTS) -> float:
     """Absolute voiced-duration difference in seconds between two F0 contours.
 
-    Mode "voiced" counts all voiced frames; mode "span" measures first to
-    last voiced frame inclusive.
+    config.ddur_mode "voiced" counts all voiced frames; "span" measures
+    first to last voiced frame inclusive.
     """
-    if mode not in DDUR_MODES:
-        raise InvalidParamsError(f"mode must be one of {DDUR_MODES}, got {mode!r}")
-    conv = _voiced_duration_s(converted, mode)
-    ref = _voiced_duration_s(reference, mode)
+    conv = _voiced_duration_s(converted, config.ddur_mode)
+    ref = _voiced_duration_s(reference, config.ddur_mode)
     return abs(ref - conv)
 
 
@@ -195,9 +183,8 @@ def contour_report(converted: Waveform, reference: Waveform,
     f0_ref, en_ref = _prosody(reference, config)
 
     f0_path, _ = dtw_align(f0_conv.f0_hz, f0_ref.f0_hz)
-    distortion = mcd(mcep(converted, order=config.mcep_order),
-                     mcep(reference, order=config.mcep_order))
-    duration_gap = ddur(f0_conv, f0_ref, mode=config.ddur_mode)
+    distortion = mcd(mcep(converted, config), mcep(reference, config))
+    duration_gap = ddur(f0_conv, f0_ref, config)
 
     return EvaluationReport(
         mcd_db=distortion,

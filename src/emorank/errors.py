@@ -51,10 +51,6 @@ class InvalidDistributionError(EmorankError):
     """A probability vector or one-hot label fails validation."""
 
 
-class OrderMismatchError(EmorankError):
-    """Two cepstral sequences have different coefficient orders."""
-
-
 class ParseError(EmorankError):
     """A line of tabular input (manifest, CSV) is malformed."""
 

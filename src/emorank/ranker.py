@@ -30,6 +30,7 @@ import numpy as np
 # import of the package holds it before any command's work starts.
 from numpy.random import default_rng
 
+from .config import DEFAULTS, MAX_ORDERED_PAIRS, Config
 from .errors import (
     DimensionMismatchError,
     EmptyClassError,
@@ -41,10 +42,8 @@ from .errors import (
 )
 from .tables import read_text, write_json
 
-DEFAULT_C = 1.0
 DEFAULT_MAX_ITER = 200
 DEFAULT_GRAD_TOL = 1e-6
-MAX_ORDERED_PAIRS = 10000
 STD_FLOOR = 1e-8
 MODEL_SCHEMA_VERSION = 1
 
@@ -96,16 +95,16 @@ class RankingModel:
     solver_report: dict
 
 
-def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
-                seed: int = 0) -> PairSets:
+def build_pairs(features: np.ndarray, labels, config: Config = DEFAULTS) -> PairSets:
     """Construct training pairs from neutral/emotional labels.
 
     Ordered pairs are the full emotional x neutral cross product, or
     MAX_ORDERED_PAIRS pairs sampled uniformly without replacement when the
-    product is larger.  Similar pairs are drawn within class, split evenly
-    between the two classes (odd counts favor the neutral side); a class
-    with fewer than two members contributes none.  n_similar defaults to
-    half the number of ordered pairs and may not exceed MAX_ORDERED_PAIRS.
+    product is larger; config.seed seeds the sampling.  config.n_similar
+    similar pairs, or half the number of ordered pairs when it is 0, are
+    drawn within class, split evenly between the two classes (odd counts
+    favor the neutral side); a class with fewer than two members
+    contributes none.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = list(labels)
@@ -118,13 +117,8 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
     neu = np.array([i for i, l in enumerate(labels) if l == NEUTRAL_LABEL], dtype=np.int64)
     if emo.size == 0 or neu.size == 0:
         raise EmptyClassError("need at least one emotional and one neutral sample")
-    if n_similar is not None and not 0 <= n_similar <= MAX_ORDERED_PAIRS:
-        raise InvalidParamsError(
-            f"n_similar must be in [0, {MAX_ORDERED_PAIRS}], got {n_similar}")
-    if seed < 0:
-        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
 
-    rng = default_rng(seed)
+    rng = default_rng(config.seed)
     total = emo.size * neu.size
     if total <= MAX_ORDERED_PAIRS:
         ordered = np.column_stack([np.repeat(emo, neu.size), np.tile(neu, emo.size)])
@@ -132,8 +126,7 @@ def build_pairs(features: np.ndarray, labels, n_similar: int | None = None,
         flat = rng.choice(total, size=MAX_ORDERED_PAIRS, replace=False)
         ordered = np.column_stack([emo[flat // neu.size], neu[flat % neu.size]])
 
-    if n_similar is None:
-        n_similar = ordered.shape[0] // 2
+    n_similar = config.n_similar or ordered.shape[0] // 2
     n_emo_pairs = n_similar // 2
     n_neu_pairs = n_similar - n_emo_pairs
 
@@ -155,16 +148,14 @@ def _value(w: np.ndarray, s: np.ndarray, pairs: PairSets, c: float) -> tuple:
     return float(0.5 * (w @ w) + c * (hinge @ hinge + sim @ sim)), hinge, sim
 
 
-def objective(w: np.ndarray, pairs: PairSets, c: float = DEFAULT_C) -> float:
-    """Evaluate the training objective at w on the raw pair features."""
+def objective(w: np.ndarray, pairs: PairSets, config: Config = DEFAULTS) -> float:
+    """Evaluate the training objective (C is config.ranker_c) at w on the raw pair features."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (pairs.features.shape[1],):
         raise DimensionMismatchError(
             f"w has shape {w.shape}, features have {pairs.features.shape[1]} columns"
         )
-    if not 0.0 < c < np.inf:
-        raise InvalidParamsError(f"c must be positive and finite, got {c!r}")
-    return _value(w, pairs.features @ w, pairs, c)[0]
+    return _value(w, pairs.features @ w, pairs, config.ranker_c)[0]
 
 
 def _pair_gram(xs: np.ndarray, index_pairs: np.ndarray) -> np.ndarray:
@@ -214,7 +205,7 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.linalg.solve(hess, -grad)
 
 
-def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
+def train_ranker(pairs: PairSets, config: Config = DEFAULTS, emotion: str = "",
                  standardize: bool = True) -> RankingModel:
     """Fit ranking weights by Newton iterations on the squared-slack objective.
 
@@ -226,9 +217,9 @@ def train_ranker(pairs: PairSets, c: float = DEFAULT_C, emotion: str = "",
     False); the solver report names which as stop_reason ("gradient",
     "max_iter" or "line_search").  The report also records the objective
     after every accepted step; the Armijo test keeps it non-increasing.
+    The objective's C is config.ranker_c.
     """
-    if not 0.0 < c < np.inf:
-        raise InvalidParamsError(f"c must be positive and finite, got {c!r}")
+    c = config.ranker_c
     x = pairs.features
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("features contain non-finite values")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from emorank.cli import main
+from emorank.config import Config
 from emorank.conv_metrics import ddur, dtw_align, mcd
 from emorank.dsp import Waveform
 from emorank.emo_eval import (
@@ -66,7 +67,7 @@ def test_criterion_1_solver_matches_grid_search():
             ordered = np.array([[0, 1], [2, 3]])
             similar = np.array([[4, 5]])
             pairs = PairSets(ordered, similar, features)
-            model = train_ranker(pairs, c=1.0, standardize=False)
+            model = train_ranker(pairs, Config(ranker_c=1.0), standardize=False)
             d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
             d_sim = features[similar[:, 0]] - features[similar[:, 1]]
             grid_vals = (mesh_sq + sum(np.maximum(0.0, 1.0 - dot(d)) ** 2 for d in d_ord)
@@ -81,7 +82,7 @@ def test_criterion_2_closed_form_toy_problem():
     with criterion(2, label):
         features = np.array([[0.0], [0.0], [2.0], [2.0]])
         pairs = PairSets(np.array([[2, 0]]), np.empty((0, 2)), features)
-        model = train_ranker(pairs, c=1.0, standardize=False)
+        model = train_ranker(pairs, Config(ranker_c=1.0), standardize=False)
         assert model.weights[0] == pytest.approx(4.0 / 9.0, abs=1e-6)
         assert model.solver_report["final_objective"] == pytest.approx(1.0 / 9.0, abs=1e-6)
         assert score(model, features).tolist() == [0.0, 0.0, 1.0, 1.0]
@@ -98,10 +99,10 @@ def test_criterion_3_sampled_pairs_rank_separable_classes():
         neutral = rng.normal(0.0, 1.0, (300, dim))
         features = np.vstack([emotional, neutral])
         labels = ["emotional"] * 300 + ["neutral"] * 300
-        pairs = build_pairs(features, labels, seed=1)
+        pairs = build_pairs(features, labels, Config(seed=1))
         assert pairs.ordered.shape[0] == 10000
         assert pairs.similar.shape[0] == 5000
-        model = train_ranker(pairs, c=1.0)
+        model = train_ranker(pairs, Config(ranker_c=1.0))
         xs = (features - model.feature_mean) / model.feature_std
         margins = (xs[pairs.ordered[:, 0]] - xs[pairs.ordered[:, 1]]) @ model.weights
         assert np.mean(margins > 0.0) >= 0.99
@@ -115,7 +116,8 @@ def test_criterion_4_demo_corpus_ranks_emotion(mini_corpus, corpus_features):
                 if e.split == "train" and e.emotion in ("neutral", "happy")]
         features = np.stack([corpus_features[e.utt_id] for e in rows])
         labels = ["neutral" if e.emotion == "neutral" else "emotional" for e in rows]
-        model = train_ranker(build_pairs(features, labels, seed=0), c=1.0, emotion="happy")
+        model = train_ranker(build_pairs(features, labels, Config(seed=0)),
+                             Config(ranker_c=1.0), emotion="happy")
         scores = score(model, features)
         is_neutral = np.array([l == "neutral" for l in labels])
         assert scores[~is_neutral].mean() > scores[is_neutral].mean()

@@ -168,6 +168,22 @@ class TestExitCodes:
         assert "sample rates differ" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
 
+    def test_extract_mixed_sample_rates_is_1(self, tmp_path, capsys):
+        # Frame lengths and Mel bands follow the rate: rows of two rates do not compare.
+        for name, sr in (("a.wav", 16000), ("b.wav", 22050)):
+            t = np.arange(sr) / sr
+            save_wav(tmp_path / name, 0.5 * np.sin(2.0 * np.pi * 220.0 * t), sr)
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text("utt_id\twav_path\tspeaker\temotion\tsplit\n"
+                            "u0\ta.wav\tspk\tneutral\ttrain\n"
+                            "u1\tb.wav\tspk\thappy\ttrain\n")
+        out = tmp_path / "f.csv"
+        assert main(["extract-features", "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: manifest wavs differ in sample rate: {tmp_path / 'a.wav'} "
+                       f"is 16000 Hz, {tmp_path / 'b.wav'} is 22050 Hz\n")
+        assert not out.exists()
+
     @staticmethod
     def _extract_cut_wav(tmp_path, capsys, n_samples: int, n_data_bytes: int) -> str:
         """Exit code check for extract-features on a WAV cut to n_data_bytes."""
@@ -499,6 +515,24 @@ def test_import_loads_numpy_transforms_and_no_scipy():
     loaded = set(result.stdout.split())
     assert {"numpy.fft", "numpy.random"} <= loaded
     assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
+
+def test_config_imports_no_analysis_module():
+    # config sits below the analyses: they read it, it reads none of them.
+    # The package's __init__ imports every module for its public names, so
+    # the child puts a bare package in its place to see config's own imports.
+    child = ("import sys, types\n"
+             "package = types.ModuleType('emorank')\n"
+             f"package.__path__ = [{str(Path(emorank.__file__).parent)!r}]\n"
+             "sys.modules['emorank'] = package\n"
+             "import emorank.config\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('emorank.'))))\n")
+    result = subprocess.run([sys.executable, "-c", child],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "emorank.config" in loaded
+    assert not loaded & {"emorank.ranker", "emorank.features", "emorank.conv_metrics"}
 
 
 class TestNonUtf8Input:

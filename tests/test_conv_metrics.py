@@ -26,7 +26,6 @@ from emorank.errors import (
     EmptyInputError,
     InvalidParamsError,
     NonFiniteError,
-    OrderMismatchError,
 )
 from emorank.features import ms_to_samples, pitch_contour
 
@@ -58,19 +57,19 @@ def _cepstra_pairs(draw):
 
 class TestMcep:
     def test_shape(self, sine):
-        assert mcep(sine(), order=24).shape == (98, 25)
+        assert mcep(sine(), Config(mcep_order=24)).shape == (98, 25)
 
     def test_silence_has_flat_cepstrum(self):
-        coeffs = mcep(Waveform(np.zeros(8000), 16000), order=12)
+        coeffs = mcep(Waveform(np.zeros(8000), 16000), Config(mcep_order=12))
         # log Mel rows are constant at the floor, so c1.. vanish
         np.testing.assert_allclose(coeffs[:, 1:], 0.0, atol=1e-8)
         assert np.all(coeffs[:, 0] < 0.0)
 
     def test_order_bounds(self, sine):
-        with pytest.raises(InvalidParamsError):
-            mcep(sine(dur_s=0.1), order=0)
-        with pytest.raises(InvalidParamsError):
-            mcep(sine(dur_s=0.1), order=DEFAULT_MCEP_BANDS)
+        with pytest.raises(InvalidParamsError, match="mcep_order must be in"):
+            mcep(sine(dur_s=0.1), Config(mcep_order=0))
+        with pytest.raises(InvalidParamsError, match="mcep_order must be in"):
+            mcep(sine(dur_s=0.1), Config(mcep_order=DEFAULT_MCEP_BANDS))
 
 
 class TestDtwAlign:
@@ -189,7 +188,8 @@ class TestMcd:
         assert three == pytest.approx(3.0 * one, rel=1e-9)
 
     def test_order_mismatch_rejected(self):
-        with pytest.raises(OrderMismatchError):
+        # dtw_align refuses the c0-less widths, 1 and 2 coefficients.
+        with pytest.raises(DimensionMismatchError, match="different widths: 1 vs 2"):
             mcd(_seq([[0.0, 1.0]]), _seq([[0.0, 1.0, 2.0]]))
 
     @settings(max_examples=200, deadline=None)
@@ -215,14 +215,14 @@ class TestDdur:
         gap = np.zeros(int(0.2 * sr))
         split_f0 = pitch_contour(*framed(Waveform(np.concatenate([tone, gap, tone]), sr)))
         solid_f0 = pitch_contour(*framed(Waveform(np.concatenate([tone, tone, gap]), sr)))
-        voiced_gap = ddur(split_f0, solid_f0, mode="voiced")
-        span_gap = ddur(split_f0, solid_f0, mode="span")
+        voiced_gap = ddur(split_f0, solid_f0, Config(ddur_mode="voiced"))
+        span_gap = ddur(split_f0, solid_f0, Config(ddur_mode="span"))
         assert voiced_gap < 0.05
         assert span_gap > voiced_gap + 0.1
 
     def test_silence_has_zero_duration(self, sine, framed):
         silence = pitch_contour(*framed(Waveform(np.zeros(8000), 16000)))
-        assert ddur(silence, silence, mode="span") == 0.0
+        assert ddur(silence, silence, Config(ddur_mode="span")) == 0.0
         assert ddur(pitch_contour(*framed(sine(dur_s=0.5))), silence) == pytest.approx(
             0.47, abs=1e-9)
 
@@ -236,8 +236,8 @@ class TestDdur:
 
     def test_bad_mode_rejected(self, sine, framed):
         f0 = pitch_contour(*framed(sine(dur_s=0.1)))
-        with pytest.raises(InvalidParamsError):
-            ddur(f0, f0, mode="frames")
+        with pytest.raises(InvalidParamsError, match="ddur_mode must be one of"):
+            ddur(f0, f0, Config(ddur_mode="frames"))
 
 
 def _contour_rows(report, tmp_path) -> np.ndarray:

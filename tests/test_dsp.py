@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import dct, idct
 
 import emorank
-from emorank.config import DEFAULT_MCEP_BANDS, DEFAULTS
+from emorank.config import DEFAULT_MCEP_BANDS, DEFAULTS, Config
 from emorank.conv_metrics import mcep
 from emorank.dsp import (
     Waveform,
@@ -380,7 +380,7 @@ class TestMelFilterbank:
 
 def _log_mel(waveform):
     """Log Mel band energies behind mcep, recovered by inverting its full-order DCT."""
-    coeffs = mcep(waveform, order=DEFAULT_MCEP_BANDS - 1)
+    coeffs = mcep(waveform, Config(mcep_order=DEFAULT_MCEP_BANDS - 1))
     return idct(coeffs, type=2, norm="ortho", axis=1)
 
 

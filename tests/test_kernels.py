@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.fft import irfft, next_fast_len, rfft
 
 from emorank import kernels
-from emorank.config import DEFAULTS
+from emorank.config import DEFAULTS, Config
 from emorank.conv_metrics import ddur
 from emorank.dsp import Waveform
 from emorank.errors import EmptyInputError, InvalidParamsError
@@ -295,7 +295,7 @@ class TestEdgeSignals:
                     f0 > 0.0, (contour.peak >= DEFAULTS.voicing_threshold)
                     & (contour.rms >= DEFAULTS.silence_rms))
                 assert ddur(contour, contour) == 0.0
-                assert ddur(contour, contour, mode="span") == 0.0
+                assert ddur(contour, contour, Config(ddur_mode="span")) == 0.0
             llds = compute_llds(waveform)
         assert np.all(np.isfinite(llds))
         # compute_llds reads the RMS the tracker computed on the LLD framing.

@@ -1,6 +1,7 @@
 """Pair construction, solver correctness, scoring, and persistence."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from emorank import ranker
+from emorank.config import MAX_ORDERED_PAIRS, Config
 from emorank.errors import (
     DimensionMismatchError,
     EmptyClassError,
@@ -20,7 +22,6 @@ from emorank.errors import (
     SchemaVersionMismatchError,
 )
 from emorank.ranker import (
-    MAX_ORDERED_PAIRS,
     PairSets,
     RankingModel,
     build_pairs,
@@ -44,7 +45,7 @@ def _two_class_pairs(shift):
     rng = np.random.default_rng(13)
     features = rng.normal(size=(20, 4))
     features[:10, 0] += shift
-    return build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, seed=0)
+    return build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, Config(seed=0))
 
 
 def _benchmark_shaped_pairs(seed):
@@ -55,7 +56,7 @@ def _benchmark_shaped_pairs(seed):
     latent = rng.normal(size=(120, 8))
     latent[:60, 0] += 1.0
     features = latent @ rng.normal(size=(8, 384)) + 0.1 * rng.normal(size=(120, 384))
-    return build_pairs(features, ["emotional"] * 60 + ["neutral"] * 60, seed=seed)
+    return build_pairs(features, ["emotional"] * 60 + ["neutral"] * 60, Config(seed=seed))
 
 
 # Newton steps the solver took on _benchmark_shaped_pairs(0..9) when every
@@ -158,7 +159,7 @@ class TestBuildPairs:
     def test_cross_product_counts(self):
         features = np.arange(8.0).reshape(4, 2)
         labels = ["emotional", "emotional", "neutral", "neutral"]
-        pairs = build_pairs(features, labels, n_similar=2, seed=0)
+        pairs = build_pairs(features, labels, Config(n_similar=2, seed=0))
         assert pairs.ordered.shape == (4, 2)
         assert pairs.similar.shape == (2, 2)
         # ordered pairs are (emotional, neutral)
@@ -168,22 +169,23 @@ class TestBuildPairs:
     def test_similar_pairs_same_class(self):
         rng = np.random.default_rng(0)
         labels = ["emotional"] * 5 + ["neutral"] * 5
-        pairs = build_pairs(rng.normal(size=(10, 3)), labels, n_similar=8, seed=1)
+        pairs = build_pairs(rng.normal(size=(10, 3)), labels, Config(n_similar=8, seed=1))
         cls = np.array([0] * 5 + [1] * 5)
         assert np.all(cls[pairs.similar[:, 0]] == cls[pairs.similar[:, 1]])
         assert np.all(pairs.similar[:, 0] != pairs.similar[:, 1])
 
     def test_default_n_similar_is_half(self):
+        # n_similar 0, the default, asks for half, as `train-ranker --n-similar 0` does.
         features = np.zeros((8, 2))
         labels = ["emotional"] * 4 + ["neutral"] * 4
-        pairs = build_pairs(features, labels, seed=0)
+        pairs = build_pairs(features, labels, Config(n_similar=0, seed=0))
         assert pairs.ordered.shape[0] == 16
         assert pairs.similar.shape[0] == 8
 
     def test_sampling_kicks_in_above_limit(self):
         rng = np.random.default_rng(2)
         labels = ["emotional"] * 150 + ["neutral"] * 100
-        pairs = build_pairs(rng.normal(size=(250, 2)), labels, n_similar=0, seed=3)
+        pairs = build_pairs(rng.normal(size=(250, 2)), labels, Config(seed=3))
         assert pairs.ordered.shape[0] == MAX_ORDERED_PAIRS
         assert np.unique(pairs.ordered, axis=0).shape[0] == MAX_ORDERED_PAIRS
         assert np.all(pairs.ordered[:, 0] < 150)
@@ -193,9 +195,9 @@ class TestBuildPairs:
         rng = np.random.default_rng(4)
         features = rng.normal(size=(250, 2))
         labels = ["emotional"] * 150 + ["neutral"] * 100
-        a = build_pairs(features, labels, seed=7)
-        b = build_pairs(features, labels, seed=7)
-        c = build_pairs(features, labels, seed=8)
+        a = build_pairs(features, labels, Config(seed=7))
+        b = build_pairs(features, labels, Config(seed=7))
+        c = build_pairs(features, labels, Config(seed=8))
         np.testing.assert_array_equal(a.ordered, b.ordered)
         np.testing.assert_array_equal(a.similar, b.similar)
         assert not np.array_equal(a.ordered, c.ordered)
@@ -210,16 +212,17 @@ class TestBuildPairs:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidParamsError, match="seed must be >= 0"):
-            build_pairs(np.zeros((2, 1)), ["emotional", "neutral"], seed=-1)
+            build_pairs(np.zeros((2, 1)), ["emotional", "neutral"], Config(seed=-1))
 
     def test_n_similar_above_cap_rejected(self):
-        with pytest.raises(InvalidParamsError, match="n_similar must be in"):
-            build_pairs(np.zeros((2, 1)), ["emotional", "neutral"],
-                        n_similar=MAX_ORDERED_PAIRS + 1)
+        # The message test_cli's test_n_similar_above_cap_is_1 pins.
+        with pytest.raises(InvalidParamsError,
+                           match=re.escape("n_similar must be in [0, 10000], got 10001")):
+            Config(n_similar=MAX_ORDERED_PAIRS + 1)
 
     def test_singleton_class_gets_no_similar_pairs(self):
         labels = ["emotional", "neutral", "neutral"]
-        pairs = build_pairs(np.zeros((3, 1)), labels, n_similar=4, seed=0)
+        pairs = build_pairs(np.zeros((3, 1)), labels, Config(n_similar=4, seed=0))
         # the emotional side cannot form within-class pairs
         assert np.all(pairs.similar >= 1)
 
@@ -228,26 +231,26 @@ class TestObjective:
     def test_two_pairs_at_zero(self):
         features = np.array([[0.0], [2.0]])
         pairs = PairSets(np.array([[1, 0], [1, 0]]), np.empty((0, 2)), features)
-        assert objective(np.zeros(1), pairs, c=1.0) == 2.0
+        assert objective(np.zeros(1), pairs, Config(ranker_c=1.0)) == 2.0
 
     def test_no_pairs_is_ridge_only(self):
         pairs = PairSets(np.empty((0, 2)), np.empty((0, 2)), np.zeros((2, 3)))
         w = np.array([1.0, 2.0, 2.0])
-        assert objective(w, pairs, c=1.0) == 4.5
+        assert objective(w, pairs, Config(ranker_c=1.0)) == 4.5
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            objective(np.zeros(2), _toy_pairs(), c=1.0)
+            objective(np.zeros(2), _toy_pairs(), Config(ranker_c=1.0))
 
     @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0])
     def test_bad_c_rejected(self, c):
-        with pytest.raises(InvalidParamsError, match="positive and finite"):
-            objective(np.zeros(1), _toy_pairs(), c=c)
+        with pytest.raises(InvalidParamsError, match="ranker_c must be (positive|finite)"):
+            objective(np.zeros(1), _toy_pairs(), Config(ranker_c=c))
 
 
 class TestTrainRanker:
     def test_toy_closed_form(self):
-        model = train_ranker(_toy_pairs(), c=1.0, standardize=False)
+        model = train_ranker(_toy_pairs(), Config(ranker_c=1.0), standardize=False)
         assert model.weights[0] == pytest.approx(4.0 / 9.0, abs=1e-9)
         assert model.solver_report["final_objective"] == pytest.approx(1.0 / 9.0, abs=1e-9)
         assert model.solver_report["converged"]
@@ -255,11 +258,11 @@ class TestTrainRanker:
     def test_toy_closed_form_other_c(self):
         # stationary point of 0.5 w^2 + c (1 - 2 w)^2 is 4c / (1 + 8c)
         for c in (0.25, 1.0, 5.0):
-            model = train_ranker(_toy_pairs(), c=c, standardize=False)
+            model = train_ranker(_toy_pairs(), Config(ranker_c=c), standardize=False)
             assert model.weights[0] == pytest.approx(4.0 * c / (1.0 + 8.0 * c), abs=1e-9)
 
     def test_toy_score_endpoints(self):
-        model = train_ranker(_toy_pairs(), c=1.0, standardize=False)
+        model = train_ranker(_toy_pairs(), Config(ranker_c=1.0), standardize=False)
         features = _toy_pairs().features
         scores = score(model, features)
         assert scores[0] == 0.0
@@ -274,7 +277,7 @@ class TestTrainRanker:
             ordered = np.array([[0, 1], [2, 3]])
             similar = np.array([[4, 5]])
             pairs = PairSets(ordered, similar, features)
-            model = train_ranker(pairs, c=1.0, standardize=False)
+            model = train_ranker(pairs, Config(ranker_c=1.0), standardize=False)
             d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
             d_sim = features[similar[:, 0]] - features[similar[:, 1]]
             hinge = np.maximum(0.0, 1.0 - mesh @ d_ord.T)
@@ -289,8 +292,8 @@ class TestTrainRanker:
         single = PairSets(ordered, similar, features)
         doubled = PairSets(np.vstack([ordered, ordered]),
                            np.vstack([similar, similar]), features)
-        w_double_pairs = train_ranker(doubled, c=1.0, standardize=False).weights
-        w_double_c = train_ranker(single, c=2.0, standardize=False).weights
+        w_double_pairs = train_ranker(doubled, Config(ranker_c=1.0), standardize=False).weights
+        w_double_c = train_ranker(single, Config(ranker_c=2.0), standardize=False).weights
         np.testing.assert_allclose(w_double_pairs, w_double_c, atol=1e-9)
 
     def test_objective_history_non_increasing(self):
@@ -298,8 +301,8 @@ class TestTrainRanker:
         features = rng.normal(size=(40, 10))
         labels = ["emotional"] * 20 + ["neutral"] * 20
         features[:20, 0] += 3.0
-        pairs = build_pairs(features, labels, seed=0)
-        model = train_ranker(pairs, c=1.0)
+        pairs = build_pairs(features, labels, Config(seed=0))
+        model = train_ranker(pairs, Config(ranker_c=1.0))
         history = model.solver_report["objective_history"]
         assert len(history) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
@@ -312,26 +315,26 @@ class TestTrainRanker:
         rng = np.random.default_rng(13)
         features = rng.normal(size=(20, 4))
         features[:10, 0] += 3.0
-        pairs = build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, seed=0)
-        report = train_ranker(pairs, c=1.0).solver_report
+        pairs = build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, Config(seed=0))
+        report = train_ranker(pairs, Config(ranker_c=1.0)).solver_report
         history = report["objective_history"]
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert report["converged"] is False
 
     def test_stop_reason_line_search(self, monkeypatch):
         monkeypatch.setattr(ranker, "_newton_direction", lambda hess, grad: grad)
-        report = train_ranker(_two_class_pairs(3.0), c=1.0).solver_report
+        report = train_ranker(_two_class_pairs(3.0), Config(ranker_c=1.0)).solver_report
         assert report["stop_reason"] == "line_search"
         assert report["iterations"] == 0
 
     def test_stop_reason_gradient(self):
-        report = train_ranker(_toy_pairs(), c=1.0, standardize=False).solver_report
+        report = train_ranker(_toy_pairs(), Config(ranker_c=1.0), standardize=False).solver_report
         assert report["stop_reason"] == "gradient"
         assert report["converged"] is True
 
     def test_stop_reason_max_iter(self, monkeypatch):
         monkeypatch.setattr(ranker, "DEFAULT_MAX_ITER", 1)
-        report = train_ranker(_two_class_pairs(1.0), c=1.0).solver_report
+        report = train_ranker(_two_class_pairs(1.0), Config(ranker_c=1.0)).solver_report
         assert report["stop_reason"] == "max_iter"
         assert report["iterations"] == 1
         assert report["converged"] is False
@@ -349,10 +352,10 @@ class TestTrainRanker:
         pairs = PairSets(ordered, similar, features)
         assert np.unique(ordered, axis=0).shape[0] < ordered.shape[0]
         c = 0.3
-        model = train_ranker(pairs, c=c, standardize=False)
+        model = train_ranker(pairs, Config(ranker_c=c), standardize=False)
         w = model.weights
         assert model.solver_report["final_objective"] == pytest.approx(
-            objective(w, pairs, c), rel=1e-12)
+            objective(w, pairs, Config(ranker_c=c)), rel=1e-12)
         d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
         d_sim = features[similar[:, 0]] - features[similar[:, 1]]
         margins = d_ord @ w
@@ -368,11 +371,11 @@ class TestTrainRanker:
         rng = np.random.default_rng(30303)
         features = rng.normal(0.0, 1.0, (600, 384))
         features[:300, 0] += 4.0
-        pairs = build_pairs(features, ["emotional"] * 300 + ["neutral"] * 300, seed=1)
+        pairs = build_pairs(features, ["emotional"] * 300 + ["neutral"] * 300, Config(seed=1))
         assert pairs.ordered.shape[0] == 10000
         tracemalloc.start()
         try:
-            train_ranker(pairs, c=1.0)
+            train_ranker(pairs, Config(ranker_c=1.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,8 +401,8 @@ class TestTrainRanker:
         neu = rng.normal(0.0, 1.0, (60, dim))
         features = np.vstack([emo, neu])
         labels = ["emotional"] * 60 + ["neutral"] * 60
-        pairs = build_pairs(features, labels, seed=0)
-        model = train_ranker(pairs, c=1.0)
+        pairs = build_pairs(features, labels, Config(seed=0))
+        model = train_ranker(pairs, Config(ranker_c=1.0))
         xs = (features - model.feature_mean) / model.feature_std
         margins = (xs[pairs.ordered[:, 0]] - xs[pairs.ordered[:, 1]]) @ model.weights
         assert np.mean(margins > 0.0) >= 0.99
@@ -409,10 +412,10 @@ class TestTrainRanker:
         features = rng.normal(size=(30, 5))
         features[:15, 1] += 2.0
         labels = ["emotional"] * 15 + ["neutral"] * 15
-        pairs_a = build_pairs(features, labels, seed=1)
-        pairs_b = build_pairs(features * 3.0 + 7.0, labels, seed=1)
-        model_a = train_ranker(pairs_a, c=1.0)
-        model_b = train_ranker(pairs_b, c=1.0)
+        pairs_a = build_pairs(features, labels, Config(seed=1))
+        pairs_b = build_pairs(features * 3.0 + 7.0, labels, Config(seed=1))
+        model_a = train_ranker(pairs_a, Config(ranker_c=1.0))
+        model_b = train_ranker(pairs_b, Config(ranker_c=1.0))
         sa = score(model_a, features)
         sb = score(model_b, features * 3.0 + 7.0)
         np.testing.assert_allclose(sa, sb, rtol=0.0, atol=1e-9)
@@ -428,8 +431,8 @@ class TestTrainRanker:
         features[:15, 1] += 2.0
         moved = features * scale + shift
         labels = ["emotional"] * 15 + ["neutral"] * 15
-        model_a = train_ranker(build_pairs(features, labels, seed=1), c=1.0)
-        model_b = train_ranker(build_pairs(moved, labels, seed=1), c=1.0)
+        model_a = train_ranker(build_pairs(features, labels, Config(seed=1)), Config(ranker_c=1.0))
+        model_b = train_ranker(build_pairs(moved, labels, Config(seed=1)), Config(ranker_c=1.0))
         np.testing.assert_allclose(score(model_a, features), score(model_b, moved),
                                    rtol=0.0, atol=1e-9)
 
@@ -460,12 +463,12 @@ class TestTrainRanker:
 
     def test_bad_c_rejected(self):
         with pytest.raises(InvalidParamsError):
-            train_ranker(_toy_pairs(), c=0.0)
+            train_ranker(_toy_pairs(), Config(ranker_c=0.0))
 
     @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
     def test_non_finite_c_rejected(self, c):
-        with pytest.raises(InvalidParamsError, match="positive and finite"):
-            train_ranker(_toy_pairs(), c=c)
+        with pytest.raises(InvalidParamsError, match="ranker_c must be (positive|finite)"):
+            train_ranker(_toy_pairs(), Config(ranker_c=c))
 
 
 def _score_row(model, x):
@@ -485,7 +488,7 @@ def _trained_cases(draw, dims=st.integers(1, 32)):
     n, dim = draw(st.integers(2, 12)), draw(dims)
     features = rng.normal(size=(2 * n, dim))
     features[:n, 0] += rng.uniform(0.0, 3.0)
-    pairs = build_pairs(features, ["emotional"] * n + ["neutral"] * n, seed=0)
+    pairs = build_pairs(features, ["emotional"] * n + ["neutral"] * n, Config(seed=0))
     first, second = rng.integers(0, 2 * n, size=(2, 8))
     t = rng.uniform(size=(8, 1))
     return train_ranker(pairs), pairs, t * features[first] + (1.0 - t) * features[second]
@@ -576,8 +579,8 @@ class TestPersistence:
         features = rng.normal(size=(20, 4))
         features[:10, 2] += 2.5
         labels = ["emotional"] * 10 + ["neutral"] * 10
-        return train_ranker(build_pairs(features, labels, seed=0),
-                            c=1.5, emotion="sad"), features
+        return train_ranker(build_pairs(features, labels, Config(seed=0)),
+                            Config(ranker_c=1.5), emotion="sad"), features
 
     def test_round_trip_exact(self, tmp_path):
         model, features = self._trained()
