@@ -28,7 +28,7 @@ from .config import CONFIG_KEYS, DDUR_MODES, Config, load_config
 from .conv_metrics import contour_report, write_contour_csv
 from .dsp import load_wav
 from .emo_eval import clustering_ratio, read_embeddings_csv
-from .errors import EmorankError, EmptyInputError, InvalidParamsError
+from .errors import EmorankError, InvalidParamsError
 from .features import (
     N_FEATURES,
     check_feature_ids,
@@ -81,8 +81,8 @@ def _cmd_extract_features(args, config: Config) -> int:
         waveform = load_wav(entry.wav_path)
         try:
             return waveform.sample_rate, extract_feature_vector(waveform, config=config)
-        except EmptyInputError as exc:  # a wav shorter than one frame
-            raise EmptyInputError(f"{entry.wav_path}: {exc}") from exc
+        except EmorankError as exc:  # e.g. a wav shorter than one frame
+            raise type(exc)(f"{entry.wav_path}: {exc}") from exc
 
     results = _pool_map(work, entries, config.jobs)
     # Frame lengths and Mel bands depend on the rate, so rows of two rates
@@ -92,7 +92,7 @@ def _cmd_extract_features(args, config: Config) -> int:
         raise InvalidParamsError("manifest wavs differ in sample rate: " + ", ".join(
             f"{wav} is {rate} Hz" for rate, wav in sorted(wav_of_rate.items())))
     vectors = [vector for _, vector in results]
-    write_features_csv(ids, np.reshape(vectors, (len(vectors), N_FEATURES)), args.out)
+    write_features_csv(ids, np.array(vectors), args.out)
     print(f"wrote {len(vectors)} feature rows to {args.out}")
     return 0
 
@@ -115,8 +115,7 @@ def _cmd_train_ranker(args, config: Config) -> int:
             f"first: {missing[0]!r}"
         )
     features = matrix[[row_of[e.utt_id] for e in rows]]
-    labels = ["neutral" if e.emotion == "neutral" else "emotional" for e in rows]
-    pairs = build_pairs(features, labels, config)
+    pairs = build_pairs(features, [e.emotion != "neutral" for e in rows], config)
     model = train_ranker(pairs, config, emotion=args.emotion)
     save_model(model, args.out)
     report = model.solver_report
@@ -151,20 +150,18 @@ def _cmd_eval_clustering(args, config: Config) -> int:
     return 0
 
 
-def _read_pairs_tsv(path) -> list:
-    rows = [(conv, ref, resolve_wav(path, lineno, conv), resolve_wav(path, lineno, ref))
-            for lineno, (conv, ref) in read_table(path, "\t", PAIRS_TSV_COLUMNS)]
-    if not rows:
-        raise EmptyInputError(f"{path}: no conversion pairs listed")
-    return rows
-
-
 def _cmd_eval_conversion(args, config: Config) -> int:
-    rows = _read_pairs_tsv(args.pairs)
+    rows = [(lineno, conv, ref, resolve_wav(args.pairs, lineno, conv),
+             resolve_wav(args.pairs, lineno, ref))
+            for lineno, (conv, ref) in read_table(args.pairs, "\t", PAIRS_TSV_COLUMNS)]
 
     def work(row):
-        conv_name, ref_name, conv_path, ref_path = row
-        report = contour_report(load_wav(conv_path), load_wav(ref_path), config=config)
+        lineno, conv_name, ref_name, conv_path, ref_path = row
+        converted, reference = load_wav(conv_path), load_wav(ref_path)
+        try:
+            report = contour_report(converted, reference, config=config)
+        except EmorankError as exc:  # e.g. the two wavs differ in sample rate
+            raise type(exc)(f"{args.pairs}:{lineno}: {exc}") from exc
         return {
             "converted": conv_name,
             "reference": ref_name,

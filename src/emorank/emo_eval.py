@@ -19,7 +19,6 @@ from .errors import (
     InvalidDistributionError,
     InvalidParamsError,
     NonFiniteError,
-    ParseError,
 )
 from .tables import parse_floats, read_keyed_table
 
@@ -132,7 +131,5 @@ def read_embeddings_csv(path) -> tuple:
     """Read CSV rows `id,label,d0..dN` as (embeddings, labels); ids non-empty and unique."""
     rows = [(label, parse_floats(path, lineno, values, "embedding"))
             for lineno, (_, label, *values) in read_keyed_table(path, ",", _embedding_columns)]
-    if not rows:
-        raise ParseError(f"{path}: no embedding rows")
     labels, vectors = zip(*rows)
     return np.array(vectors), list(labels)

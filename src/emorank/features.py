@@ -262,9 +262,9 @@ def check_feature_ids(ids) -> None:
 def write_features_csv(ids, matrix, path) -> None:
     """Write one CSV row `id,f000..f383` per id and row of the (n, 384) matrix.
 
-    Nothing is written when an id fails check_feature_ids (ParseError) or a
-    row holds a non-finite value (NonFiniteError naming its id), since
-    read_features_csv would refuse the file.
+    Nothing is written when there are no ids, an id fails check_feature_ids
+    (ParseError) or a row holds a non-finite value (NonFiniteError naming
+    its id), since read_features_csv would refuse the file.
     """
     ids = list(ids)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -282,4 +282,4 @@ def read_features_csv(path) -> tuple:
     """Read a file of write_features_csv: (ids, (n, 384) matrix); ids unique, values finite."""
     rows = {ident: parse_floats(path, lineno, values, "feature")
             for lineno, (ident, *values) in read_keyed_table(path, ",", FEATURE_CSV_COLUMNS)}
-    return list(rows), np.array(list(rows.values())).reshape(len(rows), N_FEATURES)
+    return list(rows), np.array(list(rows.values()))

@@ -54,8 +54,8 @@ def parse_manifest(path) -> list:
 def write_manifest(entries, path) -> None:
     """Write manifest entries with wav paths relative to the manifest.
 
-    A field holding a tab or a line break, or an empty or repeated utt_id,
-    would not read back, so it raises ParseError before the file is opened.
+    No entries, a field holding a tab or a line break, or an empty or
+    repeated utt_id would not read back: ParseError, before the file opens.
     """
     path = Path(path)
     write_table(path, "\t", MANIFEST_COLUMNS,

@@ -47,9 +47,6 @@ DEFAULT_GRAD_TOL = 1e-6
 STD_FLOOR = 1e-8
 MODEL_SCHEMA_VERSION = 1
 
-NEUTRAL_LABEL = "neutral"
-EMOTIONAL_LABEL = "emotional"
-
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 _GRAM_BLOCK = 1024
@@ -95,8 +92,8 @@ class RankingModel:
     solver_report: dict
 
 
-def build_pairs(features: np.ndarray, labels, config: Config = DEFAULTS) -> PairSets:
-    """Construct training pairs from neutral/emotional labels.
+def build_pairs(features: np.ndarray, emotional, config: Config = DEFAULTS) -> PairSets:
+    """Construct training pairs from a mask holding one bool per row, True if emotional.
 
     Ordered pairs are the full emotional x neutral cross product, or
     MAX_ORDERED_PAIRS pairs sampled uniformly without replacement when the
@@ -107,14 +104,13 @@ def build_pairs(features: np.ndarray, labels, config: Config = DEFAULTS) -> Pair
     contributes none.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = list(labels)
-    if features.ndim != 2 or features.shape[0] != len(labels):
-        raise DimensionMismatchError("features rows and labels must align")
-    bad = sorted({l for l in labels if l not in (NEUTRAL_LABEL, EMOTIONAL_LABEL)})
-    if bad:
-        raise InvalidParamsError(f"labels must be neutral or emotional, got {bad}")
-    emo = np.array([i for i, l in enumerate(labels) if l == EMOTIONAL_LABEL], dtype=np.int64)
-    neu = np.array([i for i, l in enumerate(labels) if l == NEUTRAL_LABEL], dtype=np.int64)
+    emotional = np.asarray(emotional)
+    if emotional.dtype != bool:
+        raise InvalidParamsError(f"emotional must be a boolean mask, got dtype {emotional.dtype}")
+    if features.ndim != 2 or emotional.shape != features.shape[:1]:
+        raise DimensionMismatchError("need one emotional mask entry per feature row")
+    emo = np.flatnonzero(emotional)
+    neu = np.flatnonzero(~emotional)
     if emo.size == 0 or neu.size == 0:
         raise EmptyClassError("need at least one emotional and one neutral sample")
 
@@ -149,13 +145,14 @@ def _value(w: np.ndarray, s: np.ndarray, pairs: PairSets, c: float) -> tuple:
 
 
 def objective(w: np.ndarray, pairs: PairSets, config: Config = DEFAULTS) -> float:
-    """Evaluate the training objective (C is config.ranker_c) at w on the raw pair features."""
+    """The objective train_ranker minimizes, at w (C is config.ranker_c)."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (pairs.features.shape[1],):
         raise DimensionMismatchError(
             f"w has shape {w.shape}, features have {pairs.features.shape[1]} columns"
         )
-    return _value(w, pairs.features @ w, pairs, config.ranker_c)[0]
+    xs = _feature_space(pairs.features)[0]
+    return _value(w, xs @ w, pairs, config.ranker_c)[0]
 
 
 def _pair_gram(xs: np.ndarray, index_pairs: np.ndarray) -> np.ndarray:
@@ -200,37 +197,39 @@ def _standardized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarra
     return xs
 
 
+def _feature_space(x: np.ndarray) -> tuple:
+    """(xs, mean, std): x z-scored by column, std floored at STD_FLOOR; raises NonFiniteError."""
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("features contain non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        std = np.maximum(x.std(axis=0), STD_FLOOR)
+    return _standardized(x, mean, std), mean, std
+
+
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Newton step: solve hess @ direction = -grad (hess is symmetric positive definite)."""
     return np.linalg.solve(hess, -grad)
 
 
-def train_ranker(pairs: PairSets, config: Config = DEFAULTS, emotion: str = "",
-                 standardize: bool = True) -> RankingModel:
+def train_ranker(pairs: PairSets, config: Config = DEFAULTS, emotion: str = "") -> RankingModel:
     """Fit ranking weights by Newton iterations on the squared-slack objective.
 
-    Features are z-scored (per-column std floored at 1e-8) unless
-    standardize is False; a column whose mean, std or z-scores overflow
-    raises NonFiniteError.  Iterations stop when the gradient norm falls to
-    DEFAULT_GRAD_TOL, after DEFAULT_MAX_ITER accepted steps, or when
-    backtracking finds no step that passes the Armijo test (converged stays
-    False); the solver report names which as stop_reason ("gradient",
-    "max_iter" or "line_search").  The report also records the objective
-    after every accepted step; the Armijo test keeps it non-increasing.
-    The objective's C is config.ranker_c.
+    Features are z-scored by _feature_space, which raises NonFiniteError
+    for a non-finite or overflowing column.  Iterations stop when the
+    gradient norm falls to DEFAULT_GRAD_TOL, after DEFAULT_MAX_ITER accepted
+    steps, or when backtracking finds no step that passes the Armijo test
+    (converged stays False); the solver report names which as stop_reason
+    ("gradient", "max_iter" or "line_search").  The report also records the
+    objective after every accepted step; the Armijo test keeps it
+    non-increasing.  The objective's C is config.ranker_c.
     """
     c = config.ranker_c
-    x = pairs.features
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError("features contain non-finite values")
+    xs, mean, std = _feature_space(pairs.features)
     if pairs.ordered.shape[0] == 0:
         raise NoOrderedPairsError("training needs at least one ordered pair")
 
-    n_rows, dim = x.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0) if standardize else np.zeros(dim)
-        std = np.maximum(x.std(axis=0), STD_FLOOR) if standardize else np.ones(dim)
-    xs = _standardized(x, mean, std)
+    n_rows, dim = xs.shape
     (oa, ob), (sa, sb) = pairs.ordered.T, pairs.similar.T
     # The similar pairs' Hessian term does not depend on w.
     hess_fixed = np.eye(dim) + 2.0 * c * _pair_gram(xs, pairs.similar)

@@ -1,9 +1,9 @@
 """Delimited text tables and JSON files: every file the package reads or writes but wav.
 
-A table is UTF-8 text: a header line of column names, then one row per
-line with as many fields as the header.  Blank lines are skipped.  Every
-error names the file and line as `path:line: ...`.  A keyed table's first
-field is a non-empty id that no other row repeats.
+A table is UTF-8 text: a header line of column names, then at least one
+row, one per line with as many fields as the header.  Blank lines are
+skipped.  Every error names the file and line as `path:line: ...`.  A
+keyed table's first field is a non-empty id that no other row repeats.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ def read_table(path, sep: str, columns):
 
     columns is the tuple of names the header must hold, or a function from
     the header's field count to that tuple, for tables whose width the file
-    sets.  Rows are checked one at a time as they are yielded, so an error
-    names the first bad line whatever is wrong with it.
+    sets.  A table with no row after the header raises ParseError.  Rows are
+    checked one at a time as they are yielded, so an error names the first
+    bad line whatever is wrong with it.
     """
     lines = read_text(path).splitlines()
     header = lines[0].split(sep) if lines else []
@@ -38,6 +39,8 @@ def read_table(path, sep: str, columns):
     if header != expected:
         shown = expected if len(expected) <= 5 else expected[:3] + ["...", expected[-1]]
         raise ParseError(f"{path}:1: header must be {sep.join(shown)!r}")
+    if not any(lines[1:]):
+        raise ParseError(f"{path}: no rows after the header")
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -73,8 +76,8 @@ def read_keyed_table(path, sep: str, columns):
 def write_table(path, sep: str, columns, rows) -> None:
     """Write rows of strings as a keyed table that read_keyed_table reads back as they are.
 
-    A field check_field refuses, a character UTF-8 cannot encode, or a key
-    check_key refuses raises ParseError before the file is opened.
+    No rows, a field check_field refuses, a character UTF-8 cannot encode,
+    or a key check_key refuses raises ParseError before the file is opened.
     """
     lines = [sep.join(columns)]
     seen = set()
@@ -85,6 +88,8 @@ def write_table(path, sep: str, columns, rows) -> None:
             for name, value in zip(columns, fields, strict=True):
                 check_field(value, sep, f"{path}:{lineno}: {name}")
         lines.append(line)
+    if len(lines) == 1:
+        raise ParseError(f"{path}: no rows after the header")
     try:
         data = "\n".join(lines).encode("utf-8") + b"\n"
     except UnicodeEncodeError as exc:

@@ -67,11 +67,15 @@ def test_criterion_1_solver_matches_grid_search():
             ordered = np.array([[0, 1], [2, 3]])
             similar = np.array([[4, 5]])
             pairs = PairSets(ordered, similar, features)
-            model = train_ranker(pairs, Config(ranker_c=1.0), standardize=False)
-            d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
-            d_sim = features[similar[:, 0]] - features[similar[:, 1]]
+            model = train_ranker(pairs, Config(ranker_c=1.0))
+            # The grid spans the weights over the z-scored features training sees.
+            xs = (features - model.feature_mean) / model.feature_std
+            d_ord = xs[ordered[:, 0]] - xs[ordered[:, 1]]
+            d_sim = xs[similar[:, 0]] - xs[similar[:, 1]]
             grid_vals = (mesh_sq + sum(np.maximum(0.0, 1.0 - dot(d)) ** 2 for d in d_ord)
                          + sum(dot(d) ** 2 for d in d_sim))
+            # The minimizer lies inside the grid, so the grid bounds it.
+            assert np.all(np.abs(model.weights) < 5.0)
             assert model.solver_report["final_objective"] <= grid_vals.min() + 1e-3
             assert model.solver_report["converged"]
         assert time.perf_counter() - started < 5.0
@@ -82,7 +86,9 @@ def test_criterion_2_closed_form_toy_problem():
     with criterion(2, label):
         features = np.array([[0.0], [0.0], [2.0], [2.0]])
         pairs = PairSets(np.array([[2, 0]]), np.empty((0, 2)), features)
-        model = train_ranker(pairs, Config(ranker_c=1.0), standardize=False)
+        # The column [0, 0, 2, 2] has mean 1 and std 1, so z-scoring only
+        # shifts it and the differences stay 2.
+        model = train_ranker(pairs, Config(ranker_c=1.0))
         assert model.weights[0] == pytest.approx(4.0 / 9.0, abs=1e-6)
         assert model.solver_report["final_objective"] == pytest.approx(1.0 / 9.0, abs=1e-6)
         assert score(model, features).tolist() == [0.0, 0.0, 1.0, 1.0]
@@ -98,8 +104,7 @@ def test_criterion_3_sampled_pairs_rank_separable_classes():
         emotional[:, 0] += 4.0
         neutral = rng.normal(0.0, 1.0, (300, dim))
         features = np.vstack([emotional, neutral])
-        labels = ["emotional"] * 300 + ["neutral"] * 300
-        pairs = build_pairs(features, labels, Config(seed=1))
+        pairs = build_pairs(features, [True] * 300 + [False] * 300, Config(seed=1))
         assert pairs.ordered.shape[0] == 10000
         assert pairs.similar.shape[0] == 5000
         model = train_ranker(pairs, Config(ranker_c=1.0))
@@ -115,12 +120,11 @@ def test_criterion_4_demo_corpus_ranks_emotion(mini_corpus, corpus_features):
         rows = [e for e in mini_corpus
                 if e.split == "train" and e.emotion in ("neutral", "happy")]
         features = np.stack([corpus_features[e.utt_id] for e in rows])
-        labels = ["neutral" if e.emotion == "neutral" else "emotional" for e in rows]
-        model = train_ranker(build_pairs(features, labels, Config(seed=0)),
+        emotional = np.array([e.emotion != "neutral" for e in rows])
+        model = train_ranker(build_pairs(features, emotional, Config(seed=0)),
                              Config(ranker_c=1.0), emotion="happy")
         scores = score(model, features)
-        is_neutral = np.array([l == "neutral" for l in labels])
-        assert scores[~is_neutral].mean() > scores[is_neutral].mean()
+        assert scores[emotional].mean() > scores[~emotional].mean()
         history = model.solver_report["objective_history"]
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         assert model.solver_report["converged"]

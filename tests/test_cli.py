@@ -17,8 +17,8 @@ from emorank.config import DEFAULT_MCEP_BANDS, Config, load_config, parse_config
 from emorank.conv_metrics import contour_report, write_contour_csv
 from emorank.dsp import load_wav, save_wav
 from emorank.errors import InvalidParamsError
-from emorank.features import extract_feature_vector, read_features_csv
-from emorank.manifest import ManifestEntry, parse_manifest, write_manifest
+from emorank.features import FEATURE_CSV_COLUMNS, extract_feature_vector, read_features_csv
+from emorank.manifest import MANIFEST_COLUMNS, ManifestEntry, parse_manifest, write_manifest
 
 FLOAT_FIELDS = [f.name for f in fields(Config) if isinstance(f.default, float)]
 TIMESTAMP_RE = re.compile(r'^\s*"generated_at": "[^"]+",?$', re.MULTILINE)
@@ -142,6 +142,11 @@ def _conversion_argv(cli_corpus, tmp_path, command, conv=None) -> list:
     return [command, "--converted", str(conv), "--reference", str(ref)]
 
 
+def _pair_row(tmp_path, command) -> str:
+    """What eval-conversion puts before an analysis error: the pairs file and its line."""
+    return f"{tmp_path / 'pairs.tsv'}:2: " if command == "eval-conversion" else ""
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -167,6 +172,21 @@ class TestExitCodes:
         assert code == 1
         assert "sample rates differ" in capsys.readouterr().err
         assert not (tmp_path / "c.csv").exists()
+
+    def test_conversion_error_names_its_pair_row(self, cli_corpus, tmp_path, capsys):
+        # The fourth pair, on line 5, holds a 22.05 kHz copy of its reference.
+        corpus = cli_corpus["corpus"]
+        save_wav(tmp_path / "neu003.wav", load_wav(corpus / "neu003.wav").samples, 22050)
+        rows = [f"{corpus / f'happy00{i}.wav'}\t{corpus / f'neu00{i}.wav'}\n" for i in range(3)]
+        rows.append(f"{corpus / 'happy003.wav'}\t{tmp_path / 'neu003.wav'}\n")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("converted_wav\treference_wav\n" + "".join(rows))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["eval-conversion", "--pairs", str(pairs), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {pairs}:5: sample rates differ: "
+                                           "converted 16000 Hz, reference 22050 Hz\n")
+        assert not out.exists()
 
     def test_extract_mixed_sample_rates_is_1(self, tmp_path, capsys):
         # Frame lengths and Mel bands follow the rate: rows of two rates do not compare.
@@ -242,7 +262,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "error: converted waveform has 5 samples, fewer than one 640-sample frame\n"
+        assert err == (f"error: {_pair_row(tmp_path, command)}converted waveform has 5 samples, "
+                       "fewer than one 640-sample frame\n")
         assert not out.exists()
 
     def test_wav_too_short_to_frame_is_1(self, tmp_path, capsys):
@@ -266,13 +287,15 @@ class TestExitCodes:
         cfg.write_text("lld_frame_ms = 10\npitch_frame_ms = 10\npitch_fmax = 100\n")
         if command == "extract-features":
             argv = [command, "--manifest", str(cli_corpus["manifest"])]
+            where = f"{parse_manifest(cli_corpus['manifest'])[0].wav_path}: "
         else:
             argv = _conversion_argv(cli_corpus, tmp_path, command)
+            where = _pair_row(tmp_path, command)
         out = tmp_path / "out"
         capsys.readouterr()
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: a 160-sample frame at 16000 Hz holds fewer than two lags "
+        assert err == (f"error: {where}a 160-sample frame at 16000 Hz holds fewer than two lags "
                        "for F0 in [60, 100] Hz (lags 160..159)\n")
         assert not out.exists()
 
@@ -399,7 +422,7 @@ class TestExitCodes:
         ("converted\treference\n", "pairs.tsv:1: header must be"),
         ("converted_wav\treference_wav\n\na.wav\tb.wav\tc.wav\n",
          "pairs.tsv:3: expected 2 fields, got 3"),
-        ("converted_wav\treference_wav\n\n", "no conversion pairs"),
+        ("converted_wav\treference_wav\n\n", "pairs.tsv: no rows after the header"),
     ], ids=["header", "three_fields", "no_rows"])
     def test_bad_pairs_tsv_is_1(self, tmp_path, capsys, text, message):
         pairs = tmp_path / "pairs.tsv"
@@ -410,6 +433,30 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, header", [
+        ("extract-features", "--manifest", "\t".join(MANIFEST_COLUMNS)),
+        ("score-intensity", "--features", ",".join(FEATURE_CSV_COLUMNS)),
+    ], ids=["extract-features", "score-intensity"])
+    def test_header_only_table_is_1(self, cli_model, tmp_path, capsys, command, flag, header):
+        # Read as no rows, either would exit 0 and write a header-only CSV.
+        table = tmp_path / "table.txt"
+        table.write_text(header + "\n")
+        argv = [command, flag, str(table), "--out", str(tmp_path / "out.csv")]
+        if command == "score-intensity":
+            argv += ["--model", str(cli_model)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {table}: no rows after the header\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_make_manifest_of_no_wavs_is_1(self, tmp_path, capsys):
+        (tmp_path / "tree" / "spk" / "happy").mkdir(parents=True)
+        out = tmp_path / "m.tsv"
+        capsys.readouterr()
+        assert main(["make-manifest", "--root", str(tmp_path / "tree"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {out}: no rows after the header\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("rows, message", [

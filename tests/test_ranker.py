@@ -45,7 +45,7 @@ def _two_class_pairs(shift):
     rng = np.random.default_rng(13)
     features = rng.normal(size=(20, 4))
     features[:10, 0] += shift
-    return build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, Config(seed=0))
+    return build_pairs(features, [True] * 10 + [False] * 10, Config(seed=0))
 
 
 def _benchmark_shaped_pairs(seed):
@@ -56,7 +56,7 @@ def _benchmark_shaped_pairs(seed):
     latent = rng.normal(size=(120, 8))
     latent[:60, 0] += 1.0
     features = latent @ rng.normal(size=(8, 384)) + 0.1 * rng.normal(size=(120, 384))
-    return build_pairs(features, ["emotional"] * 60 + ["neutral"] * 60, Config(seed=seed))
+    return build_pairs(features, [True] * 60 + [False] * 60, Config(seed=seed))
 
 
 # Newton steps the solver took on _benchmark_shaped_pairs(0..9) when every
@@ -158,8 +158,8 @@ class TestPairSets:
 class TestBuildPairs:
     def test_cross_product_counts(self):
         features = np.arange(8.0).reshape(4, 2)
-        labels = ["emotional", "emotional", "neutral", "neutral"]
-        pairs = build_pairs(features, labels, Config(n_similar=2, seed=0))
+        emotional = [True, True, False, False]
+        pairs = build_pairs(features, emotional, Config(n_similar=2, seed=0))
         assert pairs.ordered.shape == (4, 2)
         assert pairs.similar.shape == (2, 2)
         # ordered pairs are (emotional, neutral)
@@ -168,8 +168,8 @@ class TestBuildPairs:
 
     def test_similar_pairs_same_class(self):
         rng = np.random.default_rng(0)
-        labels = ["emotional"] * 5 + ["neutral"] * 5
-        pairs = build_pairs(rng.normal(size=(10, 3)), labels, Config(n_similar=8, seed=1))
+        emotional = [True] * 5 + [False] * 5
+        pairs = build_pairs(rng.normal(size=(10, 3)), emotional, Config(n_similar=8, seed=1))
         cls = np.array([0] * 5 + [1] * 5)
         assert np.all(cls[pairs.similar[:, 0]] == cls[pairs.similar[:, 1]])
         assert np.all(pairs.similar[:, 0] != pairs.similar[:, 1])
@@ -177,15 +177,15 @@ class TestBuildPairs:
     def test_default_n_similar_is_half(self):
         # n_similar 0, the default, asks for half, as `train-ranker --n-similar 0` does.
         features = np.zeros((8, 2))
-        labels = ["emotional"] * 4 + ["neutral"] * 4
-        pairs = build_pairs(features, labels, Config(n_similar=0, seed=0))
+        emotional = [True] * 4 + [False] * 4
+        pairs = build_pairs(features, emotional, Config(n_similar=0, seed=0))
         assert pairs.ordered.shape[0] == 16
         assert pairs.similar.shape[0] == 8
 
     def test_sampling_kicks_in_above_limit(self):
         rng = np.random.default_rng(2)
-        labels = ["emotional"] * 150 + ["neutral"] * 100
-        pairs = build_pairs(rng.normal(size=(250, 2)), labels, Config(seed=3))
+        emotional = [True] * 150 + [False] * 100
+        pairs = build_pairs(rng.normal(size=(250, 2)), emotional, Config(seed=3))
         assert pairs.ordered.shape[0] == MAX_ORDERED_PAIRS
         assert np.unique(pairs.ordered, axis=0).shape[0] == MAX_ORDERED_PAIRS
         assert np.all(pairs.ordered[:, 0] < 150)
@@ -194,25 +194,43 @@ class TestBuildPairs:
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(4)
         features = rng.normal(size=(250, 2))
-        labels = ["emotional"] * 150 + ["neutral"] * 100
-        a = build_pairs(features, labels, Config(seed=7))
-        b = build_pairs(features, labels, Config(seed=7))
-        c = build_pairs(features, labels, Config(seed=8))
+        emotional = [True] * 150 + [False] * 100
+        a = build_pairs(features, emotional, Config(seed=7))
+        b = build_pairs(features, emotional, Config(seed=7))
+        c = build_pairs(features, emotional, Config(seed=8))
         np.testing.assert_array_equal(a.ordered, b.ordered)
         np.testing.assert_array_equal(a.similar, b.similar)
         assert not np.array_equal(a.ordered, c.ordered)
 
     def test_empty_class_rejected(self):
         with pytest.raises(EmptyClassError):
-            build_pairs(np.zeros((3, 1)), ["neutral"] * 3)
+            build_pairs(np.zeros((3, 1)), [False] * 3)
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(InvalidParamsError, match="boolean mask"):
             build_pairs(np.zeros((2, 1)), ["neutral", "angry"])
+
+    @pytest.mark.parametrize("emotional, error", [
+        (np.array(["emotional", "neutral"]), InvalidParamsError),
+        (np.array([1, 0]), InvalidParamsError),
+        (np.array([True, False, False]), DimensionMismatchError),
+        (np.array([[True, False]]), DimensionMismatchError),
+    ], ids=["strings", "integers", "one_entry_too_many", "two_dimensional"])
+    def test_mask_must_be_boolean_with_one_entry_per_row(self, emotional, error):
+        with pytest.raises(error):
+            build_pairs(np.zeros((2, 1)), emotional)
+
+    def test_mask_keeps_row_order(self):
+        # The classes are the mask's True and False rows in row order, however
+        # the rows interleave.
+        emotional = np.array([False, True, False, True, True])
+        pairs = build_pairs(np.arange(10.0).reshape(5, 2), emotional, Config(n_similar=1))
+        assert pairs.ordered.tolist() == [[1, 0], [1, 2], [3, 0], [3, 2], [4, 0], [4, 2]]
+        assert pairs.similar.tolist() in ([[0, 2]], [[2, 0]])
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidParamsError, match="seed must be >= 0"):
-            build_pairs(np.zeros((2, 1)), ["emotional", "neutral"], Config(seed=-1))
+            build_pairs(np.zeros((2, 1)), [True, False], Config(seed=-1))
 
     def test_n_similar_above_cap_rejected(self):
         # The message test_cli's test_n_similar_above_cap_is_1 pins.
@@ -221,8 +239,8 @@ class TestBuildPairs:
             Config(n_similar=MAX_ORDERED_PAIRS + 1)
 
     def test_singleton_class_gets_no_similar_pairs(self):
-        labels = ["emotional", "neutral", "neutral"]
-        pairs = build_pairs(np.zeros((3, 1)), labels, Config(n_similar=4, seed=0))
+        emotional = [True, False, False]
+        pairs = build_pairs(np.zeros((3, 1)), emotional, Config(n_similar=4, seed=0))
         # the emotional side cannot form within-class pairs
         assert np.all(pairs.similar >= 1)
 
@@ -242,6 +260,19 @@ class TestObjective:
         with pytest.raises(DimensionMismatchError):
             objective(np.zeros(2), _toy_pairs(), Config(ranker_c=1.0))
 
+    def test_scores_what_training_minimizes(self):
+        # On the raw features the objective at these weights is 44.985, not 44.801.
+        pairs = _two_class_pairs(1.0)
+        model = train_ranker(pairs)
+        assert objective(model.weights, pairs) == model.solver_report["final_objective"]
+
+    def test_features_z_scored(self):
+        # Column [0, 2] z-scores to [-1, 1] whatever its scale and shift.
+        for scale, shift in ((1.0, 0.0), (3.0, 7.0)):
+            pairs = PairSets(np.array([[1, 0]]), np.empty((0, 2)),
+                             np.array([[0.0], [2.0]]) * scale + shift)
+            assert objective(np.array([0.25]), pairs) == 0.03125 + 0.25
+
     @pytest.mark.parametrize("c", [np.nan, np.inf, 0.0])
     def test_bad_c_rejected(self, c):
         with pytest.raises(InvalidParamsError, match="ranker_c must be (positive|finite)"):
@@ -250,7 +281,7 @@ class TestObjective:
 
 class TestTrainRanker:
     def test_toy_closed_form(self):
-        model = train_ranker(_toy_pairs(), Config(ranker_c=1.0), standardize=False)
+        model = train_ranker(_toy_pairs(), Config(ranker_c=1.0))
         assert model.weights[0] == pytest.approx(4.0 / 9.0, abs=1e-9)
         assert model.solver_report["final_objective"] == pytest.approx(1.0 / 9.0, abs=1e-9)
         assert model.solver_report["converged"]
@@ -258,11 +289,11 @@ class TestTrainRanker:
     def test_toy_closed_form_other_c(self):
         # stationary point of 0.5 w^2 + c (1 - 2 w)^2 is 4c / (1 + 8c)
         for c in (0.25, 1.0, 5.0):
-            model = train_ranker(_toy_pairs(), Config(ranker_c=c), standardize=False)
+            model = train_ranker(_toy_pairs(), Config(ranker_c=c))
             assert model.weights[0] == pytest.approx(4.0 * c / (1.0 + 8.0 * c), abs=1e-9)
 
     def test_toy_score_endpoints(self):
-        model = train_ranker(_toy_pairs(), Config(ranker_c=1.0), standardize=False)
+        model = train_ranker(_toy_pairs(), Config(ranker_c=1.0))
         features = _toy_pairs().features
         scores = score(model, features)
         assert scores[0] == 0.0
@@ -277,9 +308,10 @@ class TestTrainRanker:
             ordered = np.array([[0, 1], [2, 3]])
             similar = np.array([[4, 5]])
             pairs = PairSets(ordered, similar, features)
-            model = train_ranker(pairs, Config(ranker_c=1.0), standardize=False)
-            d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
-            d_sim = features[similar[:, 0]] - features[similar[:, 1]]
+            model = train_ranker(pairs, Config(ranker_c=1.0))
+            xs = (features - model.feature_mean) / model.feature_std
+            d_ord = xs[ordered[:, 0]] - xs[ordered[:, 1]]
+            d_sim = xs[similar[:, 0]] - xs[similar[:, 1]]
             hinge = np.maximum(0.0, 1.0 - mesh @ d_ord.T)
             vals = 0.5 * (mesh ** 2).sum(1) + (hinge ** 2).sum(1) + ((mesh @ d_sim.T) ** 2).sum(1)
             assert model.solver_report["final_objective"] <= vals.min() + 1e-3
@@ -292,16 +324,16 @@ class TestTrainRanker:
         single = PairSets(ordered, similar, features)
         doubled = PairSets(np.vstack([ordered, ordered]),
                            np.vstack([similar, similar]), features)
-        w_double_pairs = train_ranker(doubled, Config(ranker_c=1.0), standardize=False).weights
-        w_double_c = train_ranker(single, Config(ranker_c=2.0), standardize=False).weights
+        w_double_pairs = train_ranker(doubled, Config(ranker_c=1.0)).weights
+        w_double_c = train_ranker(single, Config(ranker_c=2.0)).weights
         np.testing.assert_allclose(w_double_pairs, w_double_c, atol=1e-9)
 
     def test_objective_history_non_increasing(self):
         rng = np.random.default_rng(13)
         features = rng.normal(size=(40, 10))
-        labels = ["emotional"] * 20 + ["neutral"] * 20
+        emotional = [True] * 20 + [False] * 20
         features[:20, 0] += 3.0
-        pairs = build_pairs(features, labels, Config(seed=0))
+        pairs = build_pairs(features, emotional, Config(seed=0))
         model = train_ranker(pairs, Config(ranker_c=1.0))
         history = model.solver_report["objective_history"]
         assert len(history) >= 2
@@ -315,7 +347,7 @@ class TestTrainRanker:
         rng = np.random.default_rng(13)
         features = rng.normal(size=(20, 4))
         features[:10, 0] += 3.0
-        pairs = build_pairs(features, ["emotional"] * 10 + ["neutral"] * 10, Config(seed=0))
+        pairs = build_pairs(features, [True] * 10 + [False] * 10, Config(seed=0))
         report = train_ranker(pairs, Config(ranker_c=1.0)).solver_report
         history = report["objective_history"]
         assert all(b <= a for a, b in zip(history, history[1:]))
@@ -328,7 +360,7 @@ class TestTrainRanker:
         assert report["iterations"] == 0
 
     def test_stop_reason_gradient(self):
-        report = train_ranker(_toy_pairs(), Config(ranker_c=1.0), standardize=False).solver_report
+        report = train_ranker(_toy_pairs(), Config(ranker_c=1.0)).solver_report
         assert report["stop_reason"] == "gradient"
         assert report["converged"] is True
 
@@ -352,12 +384,12 @@ class TestTrainRanker:
         pairs = PairSets(ordered, similar, features)
         assert np.unique(ordered, axis=0).shape[0] < ordered.shape[0]
         c = 0.3
-        model = train_ranker(pairs, Config(ranker_c=c), standardize=False)
+        model = train_ranker(pairs, Config(ranker_c=c))
         w = model.weights
-        assert model.solver_report["final_objective"] == pytest.approx(
-            objective(w, pairs, Config(ranker_c=c)), rel=1e-12)
-        d_ord = features[ordered[:, 0]] - features[ordered[:, 1]]
-        d_sim = features[similar[:, 0]] - features[similar[:, 1]]
+        assert model.solver_report["final_objective"] == objective(w, pairs, Config(ranker_c=c))
+        xs = (features - model.feature_mean) / model.feature_std
+        d_ord = xs[ordered[:, 0]] - xs[ordered[:, 1]]
+        d_sim = xs[similar[:, 0]] - xs[similar[:, 1]]
         margins = d_ord @ w
         active = margins < 1.0
         assert 0 < active.sum() < active.size
@@ -371,7 +403,7 @@ class TestTrainRanker:
         rng = np.random.default_rng(30303)
         features = rng.normal(0.0, 1.0, (600, 384))
         features[:300, 0] += 4.0
-        pairs = build_pairs(features, ["emotional"] * 300 + ["neutral"] * 300, Config(seed=1))
+        pairs = build_pairs(features, [True] * 300 + [False] * 300, Config(seed=1))
         assert pairs.ordered.shape[0] == 10000
         tracemalloc.start()
         try:
@@ -400,8 +432,8 @@ class TestTrainRanker:
         emo[:, 0] += 4.0
         neu = rng.normal(0.0, 1.0, (60, dim))
         features = np.vstack([emo, neu])
-        labels = ["emotional"] * 60 + ["neutral"] * 60
-        pairs = build_pairs(features, labels, Config(seed=0))
+        emotional = [True] * 60 + [False] * 60
+        pairs = build_pairs(features, emotional, Config(seed=0))
         model = train_ranker(pairs, Config(ranker_c=1.0))
         xs = (features - model.feature_mean) / model.feature_std
         margins = (xs[pairs.ordered[:, 0]] - xs[pairs.ordered[:, 1]]) @ model.weights
@@ -411,9 +443,9 @@ class TestTrainRanker:
         rng = np.random.default_rng(15)
         features = rng.normal(size=(30, 5))
         features[:15, 1] += 2.0
-        labels = ["emotional"] * 15 + ["neutral"] * 15
-        pairs_a = build_pairs(features, labels, Config(seed=1))
-        pairs_b = build_pairs(features * 3.0 + 7.0, labels, Config(seed=1))
+        emotional = [True] * 15 + [False] * 15
+        pairs_a = build_pairs(features, emotional, Config(seed=1))
+        pairs_b = build_pairs(features * 3.0 + 7.0, emotional, Config(seed=1))
         model_a = train_ranker(pairs_a, Config(ranker_c=1.0))
         model_b = train_ranker(pairs_b, Config(ranker_c=1.0))
         sa = score(model_a, features)
@@ -430,9 +462,10 @@ class TestTrainRanker:
         features = rng.normal(size=(30, 5))
         features[:15, 1] += 2.0
         moved = features * scale + shift
-        labels = ["emotional"] * 15 + ["neutral"] * 15
-        model_a = train_ranker(build_pairs(features, labels, Config(seed=1)), Config(ranker_c=1.0))
-        model_b = train_ranker(build_pairs(moved, labels, Config(seed=1)), Config(ranker_c=1.0))
+        emotional = [True] * 15 + [False] * 15
+        config = Config(ranker_c=1.0, seed=1)
+        model_a = train_ranker(build_pairs(features, emotional, config), config)
+        model_b = train_ranker(build_pairs(moved, emotional, config), config)
         np.testing.assert_allclose(score(model_a, features), score(model_b, moved),
                                    rtol=0.0, atol=1e-9)
 
@@ -488,7 +521,7 @@ def _trained_cases(draw, dims=st.integers(1, 32)):
     n, dim = draw(st.integers(2, 12)), draw(dims)
     features = rng.normal(size=(2 * n, dim))
     features[:n, 0] += rng.uniform(0.0, 3.0)
-    pairs = build_pairs(features, ["emotional"] * n + ["neutral"] * n, Config(seed=0))
+    pairs = build_pairs(features, [True] * n + [False] * n, Config(seed=0))
     first, second = rng.integers(0, 2 * n, size=(2, 8))
     t = rng.uniform(size=(8, 1))
     return train_ranker(pairs), pairs, t * features[first] + (1.0 - t) * features[second]
@@ -578,8 +611,8 @@ class TestPersistence:
         rng = np.random.default_rng(16)
         features = rng.normal(size=(20, 4))
         features[:10, 2] += 2.5
-        labels = ["emotional"] * 10 + ["neutral"] * 10
-        return train_ranker(build_pairs(features, labels, Config(seed=0)),
+        emotional = [True] * 10 + [False] * 10
+        return train_ranker(build_pairs(features, emotional, Config(seed=0)),
                             Config(ranker_c=1.5), emotion="sad"), features
 
     def test_round_trip_exact(self, tmp_path):

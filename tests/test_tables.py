@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emorank.cli import PAIRS_TSV_COLUMNS
+from emorank.emo_eval import read_embeddings_csv
 from emorank.errors import DuplicateIdError, NonFiniteError, ParseError
-from emorank.tables import read_keyed_table, write_json, write_table
+from emorank.features import FEATURE_CSV_COLUMNS, read_features_csv
+from emorank.manifest import MANIFEST_COLUMNS, parse_manifest
+from emorank.tables import read_keyed_table, read_table, write_json, write_table
 
 # Every line boundary of str.splitlines, which read_table splits a file on.
 LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
@@ -18,10 +22,10 @@ _fields = st.lists(st.sampled_from(("a", "b", "é", "\t", ",", "\r\n") + LINE_BR
 
 
 def _readable(rows, sep) -> bool:
-    """Whether rows can be a keyed table: plain fields, non-empty keys, none repeated."""
+    """Whether rows make a keyed table: some rows, plain fields, non-empty keys, none repeated."""
     keys = [row[0] for row in rows]
     plain = all(sep not in v and not any(b in v for b in LINE_BREAKS) for row in rows for v in row)
-    return plain and all(keys) and len(set(keys)) == len(keys)
+    return bool(rows) and plain and all(keys) and len(set(keys)) == len(keys)
 
 
 @settings(max_examples=300, deadline=None)
@@ -47,7 +51,8 @@ def test_written_rows_read_back_or_nothing_is_written(sep, width, data):
     (",", [["u1", "1"], ["", "2"]], ParseError, r"t\.txt:3: empty id ''"),
     (",", [["u1", "1"], ["u1", "2"]], DuplicateIdError, r"t\.txt:3: duplicate id 'u1'"),
     (",", [["u1", "caf\udce9"]], ParseError, r"t\.txt: not UTF-8 text"),
-], ids=["comma", "line_separator", "empty_key", "repeated_key", "surrogate"])
+    (",", [], ParseError, r"t\.txt: no rows after the header"),
+], ids=["comma", "line_separator", "empty_key", "repeated_key", "surrogate", "no_rows"])
 def test_refused_row_named_and_no_file(tmp_path, sep, rows, error, message):
     path = tmp_path / "t.txt"
     with pytest.raises(error, match=message):
@@ -62,6 +67,19 @@ def test_written_bytes(tmp_path):
     write_json(path, {"b": [1.5, "\u00e9"], "a": None})
     assert path.read_bytes() == b'{\n  "b": [\n    1.5,\n    "\\u00e9"\n  ],\n  "a": null\n}\n'
 
+
+@pytest.mark.parametrize("read, sep, columns", [
+    (parse_manifest, "\t", MANIFEST_COLUMNS),
+    (read_features_csv, ",", FEATURE_CSV_COLUMNS),
+    (read_embeddings_csv, ",", ("id", "label", "d0")),
+    (lambda path: list(read_table(path, "\t", PAIRS_TSV_COLUMNS)), "\t", PAIRS_TSV_COLUMNS),
+], ids=["manifest", "features", "embeddings", "pairs"])
+def test_every_reader_refuses_a_table_with_no_rows(tmp_path, read, sep, columns):
+    # A header and blank lines only: an empty result would look like a real one.
+    path = tmp_path / "t.txt"
+    path.write_text(sep.join(columns) + "\n\n")
+    with pytest.raises(ParseError, match=r"t\.txt: no rows after the header"):
+        read(path)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
