@@ -15,6 +15,7 @@ is resolved against `out_dir` there too, so each handler takes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -62,6 +63,19 @@ def _pool_map(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+@contextlib.contextmanager
+def _naming(where):
+    """Prefix `where: ` to an EmorankError of an analysis call, which names no input.
+
+    Readers name `path:line` themselves and stay outside, so no message
+    gets two prefixes.
+    """
+    try:
+        yield
+    except EmorankError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 def _cmd_extract_features(args, config: Config) -> int:
     if args.describe_features:
         payload = {"n_features": N_FEATURES, "features": feature_index_map()}
@@ -79,10 +93,8 @@ def _cmd_extract_features(args, config: Config) -> int:
 
     def work(entry):
         waveform = load_wav(entry.wav_path)
-        try:
+        with _naming(entry.wav_path):  # e.g. a wav shorter than one frame
             return waveform.sample_rate, extract_feature_vector(waveform, config=config)
-        except EmorankError as exc:  # e.g. a wav shorter than one frame
-            raise type(exc)(f"{entry.wav_path}: {exc}") from exc
 
     results = _pool_map(work, entries, config.jobs)
     # Frame lengths and Mel bands depend on the rate, so rows of two rates
@@ -129,14 +141,18 @@ def _cmd_train_ranker(args, config: Config) -> int:
 def _cmd_score_intensity(args, config: Config) -> int:
     model = load_model(args.model)
     ids, matrix = read_features_csv(args.features)
+    with _naming(args.features):  # e.g. a feature that overflows when standardized
+        scores = score(model, matrix).tolist()
     write_table(args.out, ",", ("utt_id", "intensity"),
-                ([ident, repr(value)] for ident, value in zip(ids, score(model, matrix).tolist())))
+                ([ident, repr(value)] for ident, value in zip(ids, scores)))
     print(f"wrote {len(ids)} intensity scores to {args.out}")
     return 0
 
 
 def _cmd_eval_clustering(args, config: Config) -> int:
-    report = clustering_ratio(*read_embeddings_csv(args.embeddings))
+    embeddings, labels = read_embeddings_csv(args.embeddings)
+    with _naming(args.embeddings):  # e.g. centroid distances that overflow
+        report = clustering_ratio(embeddings, labels)
     payload = {
         "generated_at": _timestamp(),
         "class_names": list(report.class_names),
@@ -158,10 +174,8 @@ def _cmd_eval_conversion(args, config: Config) -> int:
     def work(row):
         lineno, conv_name, ref_name, conv_path, ref_path = row
         converted, reference = load_wav(conv_path), load_wav(ref_path)
-        try:
+        with _naming(f"{args.pairs}:{lineno}"):  # e.g. the two wavs differ in sample rate
             report = contour_report(converted, reference, config=config)
-        except EmorankError as exc:  # e.g. the two wavs differ in sample rate
-            raise type(exc)(f"{args.pairs}:{lineno}: {exc}") from exc
         return {
             "converted": conv_name,
             "reference": ref_name,

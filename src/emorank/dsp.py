@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidParamsError, NonFiniteError, UnsupportedFormatError
+from .errors import EmptyInputError, InvalidParamsError, NonFiniteError, ParseError
 
 DEFAULT_LOG_FLOOR = 1e-10
 # A Mel filter whose largest weight is below this is empty: what is left is
@@ -23,6 +23,9 @@ DEFAULT_LOG_FLOOR = 1e-10
 MIN_FILTER_PEAK = 1e-9
 
 PCM_SCALE = 32768.0
+# Frames per block where a per-frame analysis widens each frame, which bounds
+# its working memory to the block's rows, whatever the signal's length.
+BLOCK_FRAMES = 512
 
 
 @dataclass(eq=False)
@@ -47,21 +50,21 @@ def load_wav(path) -> Waveform:
     try:
         reader = wave.open(str(path), "rb")
     except wave.Error as exc:
-        raise UnsupportedFormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
+        raise ParseError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     except EOFError as exc:
-        raise UnsupportedFormatError(f"{path}: truncated RIFF/WAVE file") from exc
+        raise ParseError(f"{path}: truncated RIFF/WAVE file") from exc
     except RuntimeError as exc:
         # wave raises a bare RuntimeError when a chunk size runs past its parent chunk.
-        raise UnsupportedFormatError(f"{path}: RIFF chunk size out of range") from exc
+        raise ParseError(f"{path}: RIFF chunk size out of range") from exc
     with reader:
         if reader.getcomptype() != "NONE":
-            raise UnsupportedFormatError(f"{path}: compressed WAVE data is not supported")
+            raise ParseError(f"{path}: compressed WAVE data is not supported")
         if reader.getnchannels() != 1:
-            raise UnsupportedFormatError(
+            raise ParseError(
                 f"{path}: expected mono, got {reader.getnchannels()} channels"
             )
         if reader.getsampwidth() != 2:
-            raise UnsupportedFormatError(
+            raise ParseError(
                 f"{path}: expected 16-bit samples, got {8 * reader.getsampwidth()}-bit"
             )
         sample_rate = reader.getframerate()
@@ -69,17 +72,17 @@ def load_wav(path) -> Waveform:
         # A header may declare gigabytes; never ask for more than the file holds.
         raw = reader.readframes(min(reader.getnframes(), os.path.getsize(path) // 2))
     if len(raw) % 2:
-        raise UnsupportedFormatError(
+        raise ParseError(
             f"{path}: truncated sample data ({len(raw)} bytes is not a whole number "
             "of 16-bit samples)"
         )
     if len(raw) < declared:
-        raise UnsupportedFormatError(
+        raise ParseError(
             f"{path}: truncated sample data ({len(raw)} of {declared} declared bytes)"
         )
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     if data.size == 0:
-        raise UnsupportedFormatError(f"{path}: file contains no samples")
+        raise ParseError(f"{path}: file contains no samples")
     return Waveform(data, sample_rate)
 
 
@@ -120,10 +123,13 @@ def power_spectrogram(frames: np.ndarray) -> np.ndarray:
     """
     frame_len = frames.shape[1]
     n_fft = next_pow2(frame_len)
-    spectrum = np.fft.rfft(frames * _hann_window(frame_len), n=n_fft, axis=1)
-    # Two real arrays, where (re**2 + im**2) / n_fft allocated four.
-    power = np.square(spectrum.real)
-    power += np.square(spectrum.imag)
+    power = np.empty((frames.shape[0], n_fft // 2 + 1))
+    # A block of frames at a time: only the power array spans every frame.
+    for lo in range(0, frames.shape[0], BLOCK_FRAMES):
+        block = slice(lo, lo + BLOCK_FRAMES)
+        spectrum = np.fft.rfft(frames[block] * _hann_window(frame_len), n=n_fft, axis=1)
+        np.square(spectrum.real, out=power[block])
+        power[block] += np.square(spectrum.imag)
     power /= n_fft
     # n_fft is even or 1, so the last bin is Nyquist or DC.
     power[:, 1:-1] *= 2.0
@@ -204,9 +210,12 @@ def mel_energies(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray
     product here would wake BLAS threads inside the CLI's worker threads.
     """
     columns, weights, starts, _ = _mel_support(n_mels, 2 * (power.shape[1] - 1), sample_rate)
-    gathered = power[:, columns]
-    gathered *= weights
-    return np.add.reduceat(gathered, starts, axis=1)
+    energies = np.empty((power.shape[0], n_mels))
+    for lo in range(0, power.shape[0], BLOCK_FRAMES):
+        gathered = power[lo : lo + BLOCK_FRAMES, columns]
+        gathered *= weights
+        np.add.reduceat(gathered, starts, axis=1, out=energies[lo : lo + BLOCK_FRAMES])
+    return energies
 
 
 def mel_energy_totals(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:

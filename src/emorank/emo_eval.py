@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateClustersError,
-    DimensionMismatchError,
-    InvalidDistributionError,
-    InvalidParamsError,
-    NonFiniteError,
-)
+from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError
 from .tables import parse_floats, read_keyed_table
 
 PROB_FLOOR = 1e-12
@@ -46,7 +40,7 @@ def clustering_ratio(embeddings: np.ndarray, labels) -> ClusterReport:
     members and then over classes; inter averages ||e - c_j|| over all
     j != i with weight 1 / (K * (K - 1) * N_i).  Lower is better.  A
     class with one member (its intra distance is 0 by construction) or
-    coincident centroids raise DegenerateClustersError; finite embeddings
+    coincident centroids raise InvalidParamsError; finite embeddings
     whose centroids or mean distances overflow raise NonFiniteError.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -65,11 +59,11 @@ def clustering_ratio(embeddings: np.ndarray, labels) -> ClusterReport:
     codes = np.array([index[l] for l in labels], dtype=np.int64)
     counts = np.bincount(codes, minlength=k)
     if np.all(counts == 1):
-        raise DegenerateClustersError(
+        raise InvalidParamsError(
             "every class has one embedding; intra-class distance is zero by construction")
     if np.any(counts == 1):
         name = names[int(np.argmax(counts == 1))]
-        raise DegenerateClustersError(
+        raise InvalidParamsError(
             f"class {name!r} has one embedding; its intra-class distance is zero "
             "by construction")
     members = [embeddings[codes == i] for i in range(k)]
@@ -87,7 +81,7 @@ def clustering_ratio(embeddings: np.ndarray, labels) -> ClusterReport:
         raise NonFiniteError(
             "class centroids or mean distances overflow float64; rescale the embeddings")
     if inter == 0.0:
-        raise DegenerateClustersError("all embeddings coincide; inter-class distance is zero")
+        raise InvalidParamsError("all embeddings coincide; inter-class distance is zero")
     return ClusterReport(names, cents, float(inter), float(intra), float(intra / inter))
 
 
@@ -103,11 +97,11 @@ def emotion_classification_loss(target_onehot: np.ndarray, probs: np.ndarray) ->
     if target.ndim != 1 or target.shape != probs.shape:
         raise DimensionMismatchError("label and probability vectors must share a 1-D shape")
     if not np.all((target == 0.0) | (target == 1.0)) or target.sum() != 1.0:
-        raise InvalidDistributionError("label vector must be one-hot")
+        raise InvalidParamsError("label vector must be one-hot")
     if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-        raise InvalidDistributionError("probabilities must be finite and non-negative")
+        raise InvalidParamsError("probabilities must be finite and non-negative")
     if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-        raise InvalidDistributionError(f"probabilities sum to {probs.sum()!r}, not 1")
+        raise InvalidParamsError(f"probabilities sum to {probs.sum()!r}, not 1")
     p_target = max(float(probs[int(np.argmax(target))]), PROB_FLOOR)
     return float(-np.log(p_target))
 

@@ -12,56 +12,20 @@ class EmorankError(Exception):
 
 
 class InvalidParamsError(EmorankError):
-    """A parameter is outside its documented range."""
+    """A parameter or an input's content is outside what the computation accepts."""
 
 
-class UnsupportedFormatError(EmorankError):
-    """An audio file is readable but not 16-bit PCM mono RIFF/WAVE."""
-
-
-class DimensionMismatchError(EmorankError):
-    """Two arrays that must share a shape do not."""
+class ParseError(EmorankError):
+    """An input file's bytes or fields cannot be used."""
 
 
 class NonFiniteError(EmorankError):
-    """An input array contains NaN or infinity."""
+    """An input array contains NaN or infinity, or a result overflows float64."""
 
 
 class EmptyInputError(EmorankError):
     """A sequence that must be non-empty is empty."""
 
 
-class EmptyClassError(EmorankError):
-    """A labelled class that must have members has none."""
-
-
-class NoOrderedPairsError(EmorankError):
-    """Ranker training needs at least one ordered pair."""
-
-
-class SchemaVersionMismatchError(EmorankError):
-    """A serialized model has a missing or unsupported schema version."""
-
-
-class DegenerateClustersError(EmorankError):
-    """Clusters that give no ratio: all embeddings coincide, or a class has one member."""
-
-
-class InvalidDistributionError(EmorankError):
-    """A probability vector or one-hot label fails validation."""
-
-
-class ParseError(EmorankError):
-    """A line of tabular input (manifest, CSV) is malformed."""
-
-
-class DuplicateIdError(ParseError):
-    """Two rows of a keyed table share a key."""
-
-
-class UnknownEmotionError(EmorankError):
-    """A manifest row names an emotion outside the vocabulary."""
-
-
-class MissingFileError(EmorankError):
-    """A table row points at a file that does not exist."""
+class DimensionMismatchError(EmorankError):
+    """Two arrays that must share a shape do not."""

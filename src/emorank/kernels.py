@@ -5,8 +5,8 @@ programming table for time alignment and the per-frame normalized
 autocorrelation used by pitch tracking.  The table is filled one
 anti-diagonal at a time, whose cells depend only on the two diagonals
 before it; the autocorrelation numerators come from FFTs (Wiener-Khinchin),
-run a block of frames at a time, while its energies and divide run once on
-the whole frame matrix.  Both only read their input, so a frame matrix may
+run a block of frames at a time, its energies in larger blocks and its
+divide once on the whole frame matrix.  Both only read their input, so a frame matrix may
 be a read-only strided view of the samples.
 """
 
@@ -19,6 +19,8 @@ from .errors import InvalidParamsError
 
 # Frames per FFT block in autocorr_matrix, which bounds its working memory.
 AUTOCORR_BLOCK_FRAMES = 32
+# Frames per block of the energy prefix sums, a frame wider than the frames.
+ENERGY_BLOCK_FRAMES = 512
 
 
 def dtw_table(cost: np.ndarray) -> np.ndarray:
@@ -67,8 +69,8 @@ def autocorr_matrix(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarra
     from the direct sums', its maximum value only by that rounding.
 
     Only the FFT chain runs AUTOCORR_BLOCK_FRAMES frames at a time, which
-    bounds its working memory; the energies and the divide each run once on
-    the whole matrix.  A block makes six NumPy calls where it made over
+    bounds its working memory; the energies run in blocks of
+    ENERGY_BLOCK_FRAMES and the divide once on the whole matrix.  A block makes six NumPy calls where it made over
     twenty, so the threads of --jobs spend less time in per-call work that
     holds the GIL.  frames is only read, so it may be a read-only view.
     """
@@ -119,15 +121,20 @@ def _next_fast_len(n: int) -> int:
 
 
 def _denominators(frames, lag_min, lag_max):
-    """sqrt(head * tail) energies per frame and lag."""
+    """sqrt(head * tail) energies per frame and lag, ENERGY_BLOCK_FRAMES frames at a time."""
     n_frames, frame_len = frames.shape
-    prefix = np.zeros((n_frames, frame_len + 1))
-    energy = np.multiply(frames, frames, out=prefix[:, 1:])
-    np.cumsum(energy, axis=1, out=energy)
-    # head[:, k] = energy of x[0 : frame_len - tau], tail[:, k] = of x[tau:].
-    head = prefix[:, frame_len - lag_max : frame_len - lag_min + 1][:, ::-1]
-    denom = prefix[:, frame_len:] - prefix[:, lag_min : lag_max + 1]
-    denom *= head
+    denom = np.empty((n_frames, lag_max - lag_min + 1))
+    prefix = np.zeros((min(n_frames, ENERGY_BLOCK_FRAMES), frame_len + 1))
+    for lo in range(0, n_frames, ENERGY_BLOCK_FRAMES):
+        block = frames[lo : lo + ENERGY_BLOCK_FRAMES]
+        rows = prefix[: block.shape[0]]
+        energy = np.multiply(block, block, out=rows[:, 1:])
+        np.cumsum(energy, axis=1, out=energy)
+        # head[:, k] = energy of x[0 : frame_len - tau], tail[:, k] = of x[tau:].
+        head = rows[:, frame_len - lag_max : frame_len - lag_min + 1][:, ::-1]
+        out = np.subtract(rows[:, frame_len:], rows[:, lag_min : lag_max + 1],
+                          out=denom[lo : lo + ENERGY_BLOCK_FRAMES])
+        out *= head
     return np.sqrt(denom, out=denom)
 
 

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError, UnknownEmotionError
+from .errors import ParseError
 from .tables import check_key, read_keyed_table, resolve_wav, write_table
 
 EMOTIONS = ("neutral", "angry", "happy", "sad", "surprise")
@@ -33,15 +33,15 @@ class ManifestEntry:
 def parse_manifest(path) -> list:
     """Parse and validate a manifest file into its ManifestEntry rows.
 
-    Raises ParseError for malformed lines or splits, UnknownEmotionError
-    for out-of-vocabulary emotions, DuplicateIdError for repeated ids, and
-    MissingFileError when a referenced wav does not exist.
+    A malformed line, an emotion or split outside its vocabulary, a
+    repeated id or a wav that does not exist raises ParseError naming
+    `path:line`.
     """
     entries = []
     for lineno, (utt_id, wav_path, speaker, emotion, split) in read_keyed_table(
             path, "\t", MANIFEST_COLUMNS):
         if emotion not in EMOTIONS:
-            raise UnknownEmotionError(
+            raise ParseError(
                 f"{path}:{lineno}: emotion {emotion!r} not in {EMOTIONS}"
             )
         if split not in SPLITS:
@@ -68,7 +68,7 @@ def scan_tree(root, split: str = "train") -> list:
 
     Directories whose lowercased name is not a known emotion are skipped.
     Utterance ids are `<speaker>_<stem>`; duplicates raise
-    DuplicateIdError.  Traversal order is sorted, so output is stable.
+    ParseError.  Traversal order is sorted, so output is stable.
     """
     if split not in SPLITS:
         raise ParseError(f"split {split!r} not in {SPLITS}")

@@ -31,15 +31,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .config import DEFAULTS, MAX_ORDERED_PAIRS, Config
-from .errors import (
-    DimensionMismatchError,
-    EmptyClassError,
-    InvalidParamsError,
-    NoOrderedPairsError,
-    NonFiniteError,
-    ParseError,
-    SchemaVersionMismatchError,
-)
+from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError, ParseError
 from .tables import read_text, write_json
 
 DEFAULT_MAX_ITER = 200
@@ -112,7 +104,7 @@ def build_pairs(features: np.ndarray, emotional, config: Config = DEFAULTS) -> P
     emo = np.flatnonzero(emotional)
     neu = np.flatnonzero(~emotional)
     if emo.size == 0 or neu.size == 0:
-        raise EmptyClassError("need at least one emotional and one neutral sample")
+        raise InvalidParamsError("need at least one emotional and one neutral sample")
 
     rng = default_rng(config.seed)
     total = emo.size * neu.size
@@ -227,7 +219,7 @@ def train_ranker(pairs: PairSets, config: Config = DEFAULTS, emotion: str = "") 
     c = config.ranker_c
     xs, mean, std = _feature_space(pairs.features)
     if pairs.ordered.shape[0] == 0:
-        raise NoOrderedPairsError("training needs at least one ordered pair")
+        raise InvalidParamsError("training needs at least one ordered pair")
 
     n_rows, dim = xs.shape
     (oa, ob), (sa, sb) = pairs.ordered.T, pairs.similar.T
@@ -342,7 +334,7 @@ def load_model(path) -> RankingModel:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("version") != MODEL_SCHEMA_VERSION:
-        raise SchemaVersionMismatchError(
+        raise ParseError(
             f"{path}: expected schema version {MODEL_SCHEMA_VERSION}, "
             f"got {payload.get('version') if isinstance(payload, dict) else type(payload).__name__}"
         )
@@ -361,9 +353,9 @@ def load_model(path) -> RankingModel:
             solver_report=dict(payload["solver_report"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaVersionMismatchError(f"{path}: malformed model payload ({exc})") from exc
+        raise ParseError(f"{path}: malformed model payload ({exc})") from exc
     if not (weights.shape == mean.shape == std.shape) or weights.ndim != 1:
-        raise SchemaVersionMismatchError(f"{path}: weight and scaler shapes disagree")
+        raise ParseError(f"{path}: weight and scaler shapes disagree")
     if not np.all(np.isfinite(np.concatenate([weights, mean, std,
                                               [model.attr_min, model.attr_max]]))):
         raise NonFiniteError(f"{path}: weights, scaler or score range are not finite")

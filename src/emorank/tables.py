@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateIdError, MissingFileError, NonFiniteError, ParseError
+from .errors import NonFiniteError, ParseError
 
 
 def read_text(path) -> str:
@@ -53,8 +53,7 @@ def read_table(path, sep: str, columns):
 def check_key(seen: set, key: str, where) -> None:
     """Add key to seen; an empty key or one already seen raises ParseError naming where."""
     if not key or key in seen:
-        error = DuplicateIdError if key else ParseError
-        raise error(f"{where}: {'duplicate' if key else 'empty'} id {key!r}")
+        raise ParseError(f"{where}: {'duplicate' if key else 'empty'} id {key!r}")
     seen.add(key)
 
 
@@ -116,7 +115,7 @@ def resolve_wav(path, lineno: int, name: str) -> Path:
     if not wav.is_absolute():
         wav = Path(path).parent / wav
     if not wav.is_file():
-        raise MissingFileError(f"{path}:{lineno}: wav file not found: {wav}")
+        raise ParseError(f"{path}:{lineno}: wav file not found: {wav}")
     return wav
 
 

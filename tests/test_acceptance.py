@@ -8,7 +8,6 @@ before re-raising, so the printed transcript mirrors the pytest report.
 import io
 import json
 import re
-import time
 from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
@@ -52,7 +51,6 @@ def _mcep(rows):
 def test_criterion_1_solver_matches_grid_search():
     label = "solver objective matches a dense grid search on small problems"
     with criterion(1, label):
-        started = time.perf_counter()
         # The 1001 x 1001 grid of w = (axis[j], axis[i]), evaluated separably:
         # w . d is axis[None, :] * d[0] + axis[:, None] * d[1].
         axis = np.linspace(-5.0, 5.0, 1001)
@@ -78,7 +76,8 @@ def test_criterion_1_solver_matches_grid_search():
             assert np.all(np.abs(model.weights) < 5.0)
             assert model.solver_report["final_objective"] <= grid_vals.min() + 1e-3
             assert model.solver_report["converged"]
-        assert time.perf_counter() - started < 5.0
+            # Newton steps on a piecewise quadratic: at most 2 over these draws.
+            assert model.solver_report["iterations"] <= 5
 
 
 def test_criterion_2_closed_form_toy_problem():
@@ -97,7 +96,6 @@ def test_criterion_2_closed_form_toy_problem():
 def test_criterion_3_sampled_pairs_rank_separable_classes():
     label = "sampled training pairs rank a separable 384-d problem at 99%+"
     with criterion(3, label):
-        started = time.perf_counter()
         rng = np.random.default_rng(30303)
         dim = 384
         emotional = rng.normal(0.0, 1.0, (300, dim))
@@ -111,7 +109,9 @@ def test_criterion_3_sampled_pairs_rank_separable_classes():
         xs = (features - model.feature_mean) / model.feature_std
         margins = (xs[pairs.ordered[:, 0]] - xs[pairs.ordered[:, 1]]) @ model.weights
         assert np.mean(margins > 0.0) >= 0.99
-        assert time.perf_counter() - started < 10.0
+        # 6 Newton steps on this draw; a count, unlike a wall-clock bound,
+        # does not move with the load of the machine.
+        assert model.solver_report["iterations"] <= 20
 
 
 def test_criterion_4_demo_corpus_ranks_emotion(mini_corpus, corpus_features):

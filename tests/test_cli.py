@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import emorank
+from emorank import errors
 from emorank.cli import main
 from emorank.config import DEFAULT_MCEP_BANDS, Config, load_config, parse_config_file
 from emorank.conv_metrics import contour_report, write_contour_csv
@@ -633,22 +634,49 @@ class TestNonUtf8Input:
         assert not out.exists()
 
 
+def _assert_one_error_line(result, prefix):
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(prefix) and result.stderr.count("\n") == 1, result.stderr
+    assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
+
 class TestOverflowingScore:
     def test_huge_feature_value_is_1(self, cli_corpus, cli_model, tmp_path):
-        # A finite f007 of 1e308 overflows when standardized by the model.
+        # A finite f007 of 1e308 in row 2 overflows when standardized by the
+        # model; the error names the features file.
         lines = cli_corpus["features"].read_text().splitlines()
-        fields = lines[3].split(",")
+        fields = lines[1].split(",")
         fields[8] = "1e308"
-        lines[3] = ",".join(fields)
+        lines[1] = ",".join(fields)
         features = tmp_path / "huge.csv"
         features.write_text("\n".join(lines) + "\n")
         out = tmp_path / "scores.csv"
         result = _run_cli("score-intensity", "--model", cli_model,
                           "--features", features, "--out", out)
-        assert result.returncode == 1, result.stderr
-        assert result.stderr.startswith("error: feature column 7 overflows float64")
-        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        _assert_one_error_line(result, f"error: {features}: feature column 7 overflows float64")
         assert not out.exists()
+
+
+class TestOverflowingClusters:
+    def test_huge_embeddings_name_their_file(self, tmp_path):
+        # Finite embeddings whose centroid distances overflow float64.
+        emb = tmp_path / "emb.csv"
+        emb.write_text("id,label,d0,d1\na,x,1e200,0\nb,x,-1e200,0\nc,y,1e200,1\n"
+                       "d,y,-1e200,1\n")
+        out = tmp_path / "cluster.json"
+        result = _run_cli("eval-clustering", "--embeddings", emb, "--out", out)
+        _assert_one_error_line(result, f"error: {emb}: ")
+        assert not out.exists()
+
+
+def test_five_error_kinds():
+    # Every EmorankError exits 1, so the package keeps one class per kind of failure.
+    kinds = {obj for obj in vars(errors).values()
+             if isinstance(obj, type) and issubclass(obj, errors.EmorankError)}
+    assert kinds - {errors.EmorankError} == {
+        errors.InvalidParamsError, errors.ParseError, errors.NonFiniteError,
+        errors.EmptyInputError, errors.DimensionMismatchError}
+    assert all(kind.__bases__ == (errors.EmorankError,) for kind in kinds - {errors.EmorankError})
 
 
 @pytest.fixture(scope="module")

@@ -40,7 +40,7 @@ from emorank.errors import (
     EmptyInputError,
     InvalidParamsError,
     NonFiniteError,
-    UnsupportedFormatError,
+    ParseError,
 )
 from emorank.features import N_MEL_FILTERS, N_MFCC, compute_llds, energy_contour, ms_to_samples
 
@@ -85,33 +85,33 @@ class TestLoadWav:
     def test_stereo_rejected(self, tmp_path):
         path = tmp_path / "st.wav"
         _write_pcm(path, [0, 0, 1, 1], channels=2)
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(ParseError, match="expected mono, got 2 channels"):
             load_wav(path)
 
     def test_8bit_rejected(self, tmp_path):
         path = tmp_path / "u8.wav"
         _write_pcm(path, [0, 1, 2, 3], sampwidth=1)
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(ParseError, match="expected 16-bit samples, got 8-bit"):
             load_wav(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"this is not RIFF data at all")
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(ParseError, match="not a readable RIFF/WAVE file"):
             load_wav(path)
 
     def test_truncated_to_odd_byte_count_rejected(self, tmp_path):
         path = tmp_path / "cut.wav"
         _write_pcm(path, [100] * 600)
         path.write_bytes(path.read_bytes()[: 44 + 501])
-        with pytest.raises(UnsupportedFormatError, match="truncated sample data"):
+        with pytest.raises(ParseError, match="truncated sample data"):
             load_wav(path)
 
     def test_shorter_than_declared_rejected(self, tmp_path):
         path = tmp_path / "cut.wav"
         _write_pcm(path, [100] * 600)
         path.write_bytes(path.read_bytes()[: 44 + 500])
-        with pytest.raises(UnsupportedFormatError, match="500 of 1200 declared bytes"):
+        with pytest.raises(ParseError, match="500 of 1200 declared bytes"):
             load_wav(path)
 
     def test_chunk_past_riff_end_rejected(self, tmp_path):
@@ -122,7 +122,7 @@ class TestLoadWav:
         data[16:20] = struct.pack("<I", 248)
         path.write_bytes(bytes(data))
         assert len(data) == 144
-        with pytest.raises(UnsupportedFormatError, match="chunk size out of range"):
+        with pytest.raises(ParseError, match="chunk size out of range"):
             load_wav(path)
 
     def test_gigabyte_data_size_reads_only_the_file(self, tmp_path):
@@ -137,7 +137,7 @@ class TestLoadWav:
         child = (
             "import resource, sys\n"
             "from emorank.dsp import load_wav\n"
-            "from emorank.errors import UnsupportedFormatError\n"
+            "from emorank.errors import ParseError\n"
             "size = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
             "cap = size + 2 ** 30\n"
@@ -146,7 +146,7 @@ class TestLoadWav:
             "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
             "try:\n"
             "    load_wav(sys.argv[1])\n"
-            "except UnsupportedFormatError as exc:\n"
+            "except ParseError as exc:\n"
             "    print(exc)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
@@ -207,7 +207,8 @@ class TestLoadWavFuzz:
         path = tmp_path_factory.getbasetemp() / "format.wav"
         path.write_bytes(_wav_bytes(n_frames, channels, sampwidth))
         if (channels, sampwidth) != (1, 2) or n_frames == 0:
-            with pytest.raises(UnsupportedFormatError):
+            with pytest.raises(ParseError,
+                               match="expected mono|expected 16-bit samples|contains no samples"):
                 load_wav(path)
         else:
             assert load_wav(path).samples.size == n_frames

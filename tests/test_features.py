@@ -440,8 +440,10 @@ class TestFeatureVector:
         # A fresh process, since a process's peak resident size cannot be
         # reset; ru_maxrss would also carry the parent's peak across exec.
         # Frames copied out of the samples peaked at 66 MB for this minute
-        # of audio; as views of the samples they peak at 48 MB.  The signal
-        # is built a second at a time, so no large temporary sets the peak.
+        # of audio; as views of the samples they peak at 48 MB, and with the
+        # spectra and autocorrelation energies made in blocks of frames at
+        # 24 MB.  The signal is built a second at a time, so no large
+        # temporary sets the peak.
         child = (
             "import numpy as np\n"
             "from emorank.dsp import Waveform\n"

@@ -12,15 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from emorank import ranker
 from emorank.config import MAX_ORDERED_PAIRS, Config
-from emorank.errors import (
-    DimensionMismatchError,
-    EmptyClassError,
-    InvalidParamsError,
-    NoOrderedPairsError,
-    NonFiniteError,
-    ParseError,
-    SchemaVersionMismatchError,
-)
+from emorank.errors import DimensionMismatchError, InvalidParamsError, NonFiniteError, ParseError
 from emorank.ranker import (
     PairSets,
     RankingModel,
@@ -203,7 +195,8 @@ class TestBuildPairs:
         assert not np.array_equal(a.ordered, c.ordered)
 
     def test_empty_class_rejected(self):
-        with pytest.raises(EmptyClassError):
+        with pytest.raises(InvalidParamsError,
+                           match="need at least one emotional and one neutral sample"):
             build_pairs(np.zeros((3, 1)), [False] * 3)
 
     def test_unknown_label_rejected(self):
@@ -471,7 +464,7 @@ class TestTrainRanker:
 
     def test_no_ordered_pairs_rejected(self):
         pairs = PairSets(np.empty((0, 2)), np.array([[0, 1]]), np.zeros((2, 2)))
-        with pytest.raises(NoOrderedPairsError):
+        with pytest.raises(InvalidParamsError, match="training needs at least one ordered pair"):
             train_ranker(pairs)
 
     def test_non_finite_rejected(self):
@@ -676,7 +669,7 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaVersionMismatchError):
+        with pytest.raises(ParseError, match="expected schema version 1, got 99"):
             load_model(path)
 
     def test_corrupted_file_rejected(self, tmp_path):
@@ -688,5 +681,5 @@ class TestPersistence:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"version": 1, "emotion": "sad"}))
-        with pytest.raises(SchemaVersionMismatchError):
+        with pytest.raises(ParseError, match="malformed model payload"):
             load_model(path)

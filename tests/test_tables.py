@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from emorank.cli import PAIRS_TSV_COLUMNS
 from emorank.emo_eval import read_embeddings_csv
-from emorank.errors import DuplicateIdError, NonFiniteError, ParseError
+from emorank.errors import NonFiniteError, ParseError
 from emorank.features import FEATURE_CSV_COLUMNS, read_features_csv
 from emorank.manifest import MANIFEST_COLUMNS, parse_manifest
 from emorank.tables import read_keyed_table, read_table, write_json, write_table
@@ -44,18 +44,17 @@ def test_written_rows_read_back_or_nothing_is_written(sep, width, data):
             assert [fields for _, fields in read_keyed_table(path, sep, columns)] == rows
 
 
-@pytest.mark.parametrize("sep, rows, error, message", [
-    (",", [["u1", "1,5"]], ParseError, r"t\.txt:2: v '1,5' holds a comma or a line break"),
-    ("\t", [["u1", "a\u2028b"]], ParseError,
-     r"t\.txt:2: v 'a\\u2028b' holds a tab or a line break"),
-    (",", [["u1", "1"], ["", "2"]], ParseError, r"t\.txt:3: empty id ''"),
-    (",", [["u1", "1"], ["u1", "2"]], DuplicateIdError, r"t\.txt:3: duplicate id 'u1'"),
-    (",", [["u1", "caf\udce9"]], ParseError, r"t\.txt: not UTF-8 text"),
-    (",", [], ParseError, r"t\.txt: no rows after the header"),
+@pytest.mark.parametrize("sep, rows, message", [
+    (",", [["u1", "1,5"]], r"t\.txt:2: v '1,5' holds a comma or a line break"),
+    ("\t", [["u1", "a\u2028b"]], r"t\.txt:2: v 'a\\u2028b' holds a tab or a line break"),
+    (",", [["u1", "1"], ["", "2"]], r"t\.txt:3: empty id ''"),
+    (",", [["u1", "1"], ["u1", "2"]], r"t\.txt:3: duplicate id 'u1'"),
+    (",", [["u1", "caf\udce9"]], r"t\.txt: not UTF-8 text"),
+    (",", [], r"t\.txt: no rows after the header"),
 ], ids=["comma", "line_separator", "empty_key", "repeated_key", "surrogate", "no_rows"])
-def test_refused_row_named_and_no_file(tmp_path, sep, rows, error, message):
+def test_refused_row_named_and_no_file(tmp_path, sep, rows, message):
     path = tmp_path / "t.txt"
-    with pytest.raises(error, match=message):
+    with pytest.raises(ParseError, match=message):
         write_table(path, sep, ("id", "v"), rows)
     assert not path.exists()
 
