@@ -38,7 +38,7 @@ from .features import (
     read_features_csv,
     write_features_csv,
 )
-from .manifest import EMOTIONS, parse_manifest, scan_tree, write_manifest
+from .manifest import SPLITS, check_target_emotion, parse_manifest, scan_tree, write_manifest
 from .ranker import build_pairs, load_model, save_model, score, train_ranker
 from .synthcorpus import DEFAULT_EMOTION, DEFAULT_PAIRS, DEFAULT_SEED, generate_mini_corpus
 from .tables import read_table, resolve_wav, write_json, write_table
@@ -110,10 +110,7 @@ def _cmd_extract_features(args, config: Config) -> int:
 
 
 def _cmd_train_ranker(args, config: Config) -> int:
-    if args.emotion not in EMOTIONS or args.emotion == "neutral":
-        raise InvalidParamsError(
-            f"--emotion must be a non-neutral member of {EMOTIONS}, got {args.emotion!r}"
-        )
+    check_target_emotion(args.emotion)
     rows = [e for e in parse_manifest(args.manifest)
             if e.split == "train" and e.emotion in ("neutral", args.emotion)]
     if not rows:
@@ -284,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("make-manifest", _cmd_make_manifest, "index a speaker/emotion/*.wav tree")
     p.add_argument("--root", required=True, help="corpus root directory")
     p.add_argument("--out", required=True, help="output manifest TSV")
-    p.add_argument("--split", default="train", choices=["train", "eval", "reference"],
+    p.add_argument("--split", default="train", choices=SPLITS,
                    help="split label for all rows")
 
     # The corpus directory and seed are not the Config keys out_dir and seed.

@@ -101,7 +101,7 @@ def emotion_classification_loss(target_onehot: np.ndarray, probs: np.ndarray) ->
     if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
         raise InvalidParamsError("probabilities must be finite and non-negative")
     if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-        raise InvalidParamsError(f"probabilities sum to {probs.sum()!r}, not 1")
+        raise InvalidParamsError(f"probabilities sum to {float(probs.sum())!r}, not 1")
     p_target = max(float(probs[int(np.argmax(target))]), PROB_FLOOR)
     return float(-np.log(p_target))
 

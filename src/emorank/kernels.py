@@ -6,8 +6,8 @@ autocorrelation used by pitch tracking.  The table is filled one
 anti-diagonal at a time, whose cells depend only on the two diagonals
 before it; the autocorrelation numerators come from FFTs (Wiener-Khinchin),
 run a block of frames at a time, its energies in larger blocks and its
-divide once on the whole frame matrix.  Both only read their input, so a frame matrix may
-be a read-only strided view of the samples.
+divide once on the whole frame matrix.  Both only read their input, so a
+frame matrix may be a read-only strided view of the samples.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.fft import irfft, rfft
 
+from .dsp import BLOCK_FRAMES
 from .errors import InvalidParamsError
 
-# Frames per FFT block in autocorr_matrix, which bounds its working memory.
+# Frames per FFT block in autocorr_matrix: a cache-sized chunk, not a memory bound.
 AUTOCORR_BLOCK_FRAMES = 32
-# Frames per block of the energy prefix sums, a frame wider than the frames.
-ENERGY_BLOCK_FRAMES = 512
 
 
 def dtw_table(cost: np.ndarray) -> np.ndarray:
@@ -68,11 +67,11 @@ def autocorr_matrix(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarra
     such as the multiples of an exact period: a row's argmax may differ
     from the direct sums', its maximum value only by that rounding.
 
-    Only the FFT chain runs AUTOCORR_BLOCK_FRAMES frames at a time, which
-    bounds its working memory; the energies run in blocks of
-    ENERGY_BLOCK_FRAMES and the divide once on the whole matrix.  A block makes six NumPy calls where it made over
-    twenty, so the threads of --jobs spend less time in per-call work that
-    holds the GIL.  frames is only read, so it may be a read-only view.
+    Only the FFT chain runs AUTOCORR_BLOCK_FRAMES frames at a time; the
+    energies run in blocks of dsp.BLOCK_FRAMES and the divide once on the
+    whole matrix.  A block makes six NumPy calls where it made over twenty,
+    so the threads of --jobs spend less time in per-call work that holds
+    the GIL.  frames is only read, so it may be a read-only view.
     """
     n_frames, frame_len = frames.shape
     if not 0 <= lag_min <= lag_max < frame_len:
@@ -121,19 +120,19 @@ def _next_fast_len(n: int) -> int:
 
 
 def _denominators(frames, lag_min, lag_max):
-    """sqrt(head * tail) energies per frame and lag, ENERGY_BLOCK_FRAMES frames at a time."""
+    """sqrt(head * tail) energies per frame and lag, BLOCK_FRAMES frames at a time."""
     n_frames, frame_len = frames.shape
     denom = np.empty((n_frames, lag_max - lag_min + 1))
-    prefix = np.zeros((min(n_frames, ENERGY_BLOCK_FRAMES), frame_len + 1))
-    for lo in range(0, n_frames, ENERGY_BLOCK_FRAMES):
-        block = frames[lo : lo + ENERGY_BLOCK_FRAMES]
+    prefix = np.zeros((min(n_frames, BLOCK_FRAMES), frame_len + 1))
+    for lo in range(0, n_frames, BLOCK_FRAMES):
+        block = frames[lo : lo + BLOCK_FRAMES]
         rows = prefix[: block.shape[0]]
         energy = np.multiply(block, block, out=rows[:, 1:])
         np.cumsum(energy, axis=1, out=energy)
         # head[:, k] = energy of x[0 : frame_len - tau], tail[:, k] = of x[tau:].
         head = rows[:, frame_len - lag_max : frame_len - lag_min + 1][:, ::-1]
         out = np.subtract(rows[:, frame_len:], rows[:, lag_min : lag_max + 1],
-                          out=denom[lo : lo + ENERGY_BLOCK_FRAMES])
+                          out=denom[lo : lo + BLOCK_FRAMES])
         out *= head
     return np.sqrt(denom, out=denom)
 

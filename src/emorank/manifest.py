@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import InvalidParamsError, ParseError
 from .tables import check_key, read_keyed_table, resolve_wav, write_table
 
 EMOTIONS = ("neutral", "angry", "happy", "sad", "surprise")
@@ -28,6 +28,12 @@ class ManifestEntry:
     speaker: str
     emotion: str
     split: str
+
+
+def check_target_emotion(emotion: str) -> None:
+    """InvalidParamsError unless emotion is one a ranker sets against neutral speech."""
+    if emotion not in EMOTIONS[1:]:  # every emotion but neutral
+        raise InvalidParamsError(f"target emotion {emotion!r} not in {EMOTIONS[1:]}")
 
 
 def parse_manifest(path) -> list:

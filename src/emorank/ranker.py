@@ -129,8 +129,9 @@ def build_pairs(features: np.ndarray, emotional, config: Config = DEFAULTS) -> P
     return PairSets(ordered, similar, features)
 
 
-def _value(w: np.ndarray, s: np.ndarray, pairs: PairSets, c: float) -> tuple:
-    """Objective at w and its hinge and similar terms, from the per-row scores s."""
+def _value(w: np.ndarray, xs: np.ndarray, pairs: PairSets, c: float) -> tuple:
+    """Objective at w and its hinge and similar terms, from the per-row scores xs @ w."""
+    s = xs @ w
     hinge = np.maximum(0.0, 1.0 - (s[pairs.ordered[:, 0]] - s[pairs.ordered[:, 1]]))
     sim = s[pairs.similar[:, 0]] - s[pairs.similar[:, 1]]
     return float(0.5 * (w @ w) + c * (hinge @ hinge + sim @ sim)), hinge, sim
@@ -143,8 +144,7 @@ def objective(w: np.ndarray, pairs: PairSets, config: Config = DEFAULTS) -> floa
         raise DimensionMismatchError(
             f"w has shape {w.shape}, features have {pairs.features.shape[1]} columns"
         )
-    xs = _feature_space(pairs.features)[0]
-    return _value(w, xs @ w, pairs, config.ranker_c)[0]
+    return _value(w, _feature_space(pairs.features)[0], pairs, config.ranker_c)[0]
 
 
 def _pair_gram(xs: np.ndarray, index_pairs: np.ndarray) -> np.ndarray:
@@ -177,14 +177,16 @@ def _pair_gram(xs: np.ndarray, index_pairs: np.ndarray) -> np.ndarray:
 
 
 def _standardized(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """(x - mean) / std; NonFiniteError names the first column that is not finite."""
+    """(x - mean) / std; NonFiniteError names the first bad column, and row if its scaler is."""
     with np.errstate(over="ignore", invalid="ignore"):
         xs = (x - mean) / std
-    bad = ~(np.isfinite(mean) & np.isfinite(std) & np.isfinite(xs).all(axis=0))
+    scaler = np.isfinite(mean) & np.isfinite(std)
+    bad = ~(scaler & np.isfinite(xs).all(axis=0))
     if bad.any():
         col = int(np.argmax(bad))
+        row = f" in row {int(np.argmin(np.isfinite(xs[:, col])))}" if scaler[col] else ""
         raise NonFiniteError(
-            f"feature column {col} overflows float64 when standardized "
+            f"feature column {col} overflows float64 when standardized{row} "
             f"(mean {float(mean[col])!r}, std {float(std[col])!r})")
     return xs
 
@@ -226,12 +228,8 @@ def train_ranker(pairs: PairSets, config: Config = DEFAULTS, emotion: str = "") 
     # The similar pairs' Hessian term does not depend on w.
     hess_fixed = np.eye(dim) + 2.0 * c * _pair_gram(xs, pairs.similar)
 
-    def value_at(wv: np.ndarray) -> tuple:
-        s = xs @ wv
-        return (*_value(wv, s, pairs, c), s)
-
     w = np.zeros(dim)
-    value, hinge, sim, s = value_at(w)
+    value, hinge, sim = _value(w, xs, pairs, c)
     history = [value]
     steps = 0
     while True:
@@ -253,7 +251,7 @@ def train_ranker(pairs: PairSets, config: Config = DEFAULTS, emotion: str = "") 
         slope = float(grad @ direction)
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            trial = value_at(w + step * direction)
+            trial = _value(w + step * direction, xs, pairs, c)
             if trial[0] <= value + _ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
@@ -262,7 +260,7 @@ def train_ranker(pairs: PairSets, config: Config = DEFAULTS, emotion: str = "") 
             stop_reason = "line_search"
             break
         w = w + step * direction
-        value, hinge, sim, s = trial
+        value, hinge, sim = trial
         history.append(value)
         steps += 1
 

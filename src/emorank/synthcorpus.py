@@ -16,7 +16,7 @@ from numpy.random import Generator, default_rng
 
 from .dsp import save_wav
 from .errors import InvalidParamsError
-from .manifest import EMOTIONS, ManifestEntry, write_manifest
+from .manifest import ManifestEntry, check_target_emotion, write_manifest
 
 DEFAULT_PAIRS = 15
 DEFAULT_EMOTION = "happy"
@@ -87,8 +87,7 @@ def generate_mini_corpus(out_dir, n_pairs: int = DEFAULT_PAIRS,
     The corpus is fully determined by the arguments, so repeated calls
     produce byte-identical files.
     """
-    if emotion not in EMOTIONS or emotion == "neutral":
-        raise InvalidParamsError(f"emotion must be a non-neutral member of {EMOTIONS}")
+    check_target_emotion(emotion)
     if n_pairs < 1:
         raise InvalidParamsError("n_pairs must be >= 1")
     if seed < 0:

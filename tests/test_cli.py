@@ -353,6 +353,22 @@ class TestExitCodes:
         assert err.startswith("error:") and "seed must be >= 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-ranker", "synth-corpus"])
+    def test_neutral_target_emotion_is_1(self, cli_corpus, tmp_path, capsys, command):
+        # Both commands refuse by the one target-emotion rule, before writing.
+        out = tmp_path / "out"
+        if command == "train-ranker":
+            argv = [command, "--features", str(cli_corpus["features"]),
+                    "--manifest", str(cli_corpus["manifest"]), "--emotion", "neutral",
+                    "--out", str(out)]
+        else:
+            argv = [command, "--out-dir", str(out), "--pairs", "1", "--emotion", "neutral"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: target emotion 'neutral' not in ('angry', 'happy', 'sad', 'surprise')\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval-conversion", "contours"])
     def test_mcep_order_out_of_range_is_1(self, cli_corpus, tmp_path, capsys, monkeypatch,
                                           command):
@@ -642,8 +658,8 @@ def _assert_one_error_line(result, prefix):
 
 class TestOverflowingScore:
     def test_huge_feature_value_is_1(self, cli_corpus, cli_model, tmp_path):
-        # A finite f007 of 1e308 in row 2 overflows when standardized by the
-        # model; the error names the features file.
+        # A finite f007 of 1e308 on line 2 overflows when standardized by the
+        # model; the error names the features file and the row, from 0.
         lines = cli_corpus["features"].read_text().splitlines()
         fields = lines[1].split(",")
         fields[8] = "1e308"
@@ -653,7 +669,9 @@ class TestOverflowingScore:
         out = tmp_path / "scores.csv"
         result = _run_cli("score-intensity", "--model", cli_model,
                           "--features", features, "--out", out)
-        _assert_one_error_line(result, f"error: {features}: feature column 7 overflows float64")
+        _assert_one_error_line(
+            result, f"error: {features}: feature column 7 overflows float64 when standardized "
+                    "in row 0 (")
         assert not out.exists()
 
 

@@ -196,7 +196,7 @@ class TestClassificationLoss:
         assert emotion_classification_loss(target, probs) == pytest.approx(-np.log(1e-12), rel=1e-9)
 
     def test_non_simplex_rejected(self):
-        with pytest.raises(InvalidParamsError, match=r"probabilities sum to .*1\.1.*, not 1"):
+        with pytest.raises(InvalidParamsError, match=r"^probabilities sum to 1\.1, not 1$"):
             emotion_classification_loss(np.array([1.0, 0.0]), np.array([0.5, 0.6]))
 
     def test_negative_prob_rejected(self):

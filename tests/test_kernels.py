@@ -12,7 +12,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from emorank import kernels
 from emorank.config import DEFAULTS, Config
 from emorank.conv_metrics import ddur
-from emorank.dsp import Waveform
+from emorank.dsp import BLOCK_FRAMES, Waveform
 from emorank.errors import EmptyInputError, InvalidParamsError
 from emorank.features import compute_llds, frame_rms, pitch_contour
 
@@ -149,6 +149,18 @@ class TestNumpyKernels:
         ref, _ = _autocorr_direct(frames, 40, 267)
         np.testing.assert_allclose(kernels.autocorr_matrix(frames, 40, 267), ref,
                                    rtol=0.0, atol=1e-13)
+
+    def test_autocorr_spans_energy_blocks(self):
+        # The energies run dsp.BLOCK_FRAMES frames at a time: cut at those
+        # boundaries, the slices' results concatenate to the whole, bit for bit.
+        rng = np.random.default_rng(5)
+        n_frames = 2 * BLOCK_FRAMES + 3
+        frames = rng.normal(size=(n_frames, 160))
+        whole = kernels.autocorr_matrix(frames, 20, 100)
+        pieces = [kernels.autocorr_matrix(frames[lo : lo + BLOCK_FRAMES], 20, 100)
+                  for lo in range(0, n_frames, BLOCK_FRAMES)]
+        assert [piece.shape[0] for piece in pieces] == [BLOCK_FRAMES, BLOCK_FRAMES, 3]
+        np.testing.assert_array_equal(whole, np.concatenate(pieces))
 
     def test_next_fast_len_matches_scipy(self):
         for n in range(1, 20001):

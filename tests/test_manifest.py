@@ -8,6 +8,7 @@ from emorank.errors import InvalidParamsError, ParseError
 from emorank.manifest import (
     EMOTIONS,
     ManifestEntry,
+    check_target_emotion,
     parse_manifest,
     scan_tree,
     write_manifest,
@@ -198,11 +199,19 @@ class TestMiniCorpus:
 
     def test_invalid_params(self, tmp_path):
         with pytest.raises(InvalidParamsError):
-            generate_mini_corpus(tmp_path, emotion="neutral")
-        with pytest.raises(InvalidParamsError):
             generate_mini_corpus(tmp_path, n_pairs=0)
-        with pytest.raises(InvalidParamsError):
-            generate_mini_corpus(tmp_path, emotion="bored")
+
+    @pytest.mark.parametrize("emotion", ["neutral", "bored", "Happy"])
+    def test_target_emotion_rule(self, tmp_path, emotion):
+        # The one message train-ranker shares, naming the value and the allowed set.
+        message = f"target emotion {emotion!r} not in ('angry', 'happy', 'sad', 'surprise')"
+        with pytest.raises(InvalidParamsError) as raised:
+            check_target_emotion(emotion)
+        assert str(raised.value) == message
+        with pytest.raises(InvalidParamsError) as raised:
+            generate_mini_corpus(tmp_path / "out", emotion=emotion)
+        assert str(raised.value) == message
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(InvalidParamsError, match="seed must be >= 0"):

@@ -585,6 +585,20 @@ class TestScore:
                 NonFiniteError, match="feature column 0 overflows"):
             score(model, np.array([[0.5], [1e308]]))
 
+    def test_overflowing_row_named(self):
+        # A finite scaler, and 1e306 in every column of row 2: the first column
+        # whose std is small enough to overflow names that row, by the 0-based
+        # index the raw-score error uses.
+        model = RankingModel("happy", 1.0, np.ones(3), np.zeros(3),
+                             np.array([1.0, 1e-3, 1e-3]), 0.0, 1.0, {})
+        x = np.zeros((4, 3))
+        x[2] = 1e306
+        with np.errstate(all="raise"), pytest.raises(
+                NonFiniteError,
+                match=r"^feature column 1 overflows float64 when standardized in row 2 "
+                      r"\(mean 0\.0, std 0\.001\)$"):
+            score(model, x)
+
     def test_huge_finite_raw_score_clamps(self):
         model = self._model()
         model.attr_max = 0.5
