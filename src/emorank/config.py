@@ -4,8 +4,8 @@ A Config is the one settings value the analyses read, and it is valid by
 construction: building one checks every field's type and every range
 below, for the command line and for library callers alike.  Config files
 are flat UTF-8 `key = value` lines with # comments.  Keys must be Config
-field names; unknown keys are rejected so typos fail loudly.  Values on
-the command line override the file, which overrides defaults.
+field names, each named once, so an unknown or repeated key fails loudly.
+Values on the command line override the file, which overrides defaults.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise InvalidParamsError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise InvalidParamsError(f"{path}:{lineno}: repeated config key {key!r}")
         kind = _FIELD_TYPES[key]
         try:
             if kind is str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_MCEP_BANDS, DEFAULTS, Config
-from .dsp import Waveform, frame, mel_cepstrum, power_spectrogram
+from .dsp import Waveform, blockwise, frame, mel_cepstrum, power_spectrogram
 from .errors import DimensionMismatchError, EmptyInputError, InvalidParamsError, NonFiniteError
 from .features import F0Contour, energy_contour, ms_to_samples, pitch_contour
 from .kernels import dtw_table
@@ -49,10 +49,13 @@ class EvaluationReport:
 def mcep(waveform: Waveform, config: Config = DEFAULTS) -> np.ndarray:
     """Mel cepstra c0..config.mcep_order of DEFAULT_MCEP_BANDS Mel bands, one row per frame."""
     sr = waveform.sample_rate
-    frames = frame(waveform, ms_to_samples(sr, DEFAULT_MCEP_FRAME_MS),
-                   ms_to_samples(sr, DEFAULT_MCEP_HOP_MS))
-    cepstra = mel_cepstrum(power_spectrogram(frames), DEFAULT_MCEP_BANDS, sr)
-    return cepstra[:, : config.mcep_order + 1]
+    n_coeffs = config.mcep_order + 1
+
+    def cepstra(frames):
+        return mel_cepstrum(power_spectrogram(frames), DEFAULT_MCEP_BANDS, sr)[:, :n_coeffs]
+
+    return blockwise(cepstra, frame(waveform, ms_to_samples(sr, DEFAULT_MCEP_FRAME_MS),
+                                    ms_to_samples(sr, DEFAULT_MCEP_HOP_MS)))
 
 
 def _as_sequence(x) -> np.ndarray:
@@ -149,11 +152,17 @@ def ddur(converted: F0Contour, reference: F0Contour, config: Config = DEFAULTS) 
 
 
 def _prosody(waveform: Waveform, config: Config) -> tuple:
-    """F0 and energy contours from one pitch framing; one waveform's frames live at a time."""
+    """F0 and energy contours from one pitch framing, reduced a block of frames at a time."""
     sr = waveform.sample_rate
     hop = ms_to_samples(sr, config.pitch_hop_ms)
+
+    def prosody(frames):
+        pitch = pitch_contour(frames, sr, hop, config)
+        return np.column_stack([pitch.f0_hz, pitch.peak, pitch.rms, energy_contour(frames, sr)])
+
     frames = frame(waveform, ms_to_samples(sr, config.pitch_frame_ms), hop)
-    return pitch_contour(frames, sr, hop, config), energy_contour(frames, sr)
+    f0, peak, rms, energy = blockwise(prosody, frames).T
+    return F0Contour(f0, hop / sr, peak, rms), energy
 
 
 def contour_report(converted: Waveform, reference: Waveform,

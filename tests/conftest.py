@@ -1,8 +1,14 @@
 """Shared fixtures: signal builders, a session-scoped demo corpus, oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import emorank
 from emorank.config import DEFAULTS
 from emorank.dsp import Waveform, frame
 from emorank.features import extract_feature_vector, ms_to_samples
@@ -91,3 +97,49 @@ def brute_force_dtw():
         return best[0]
 
     return solve
+
+
+@pytest.fixture(scope="session")
+def peak_growth_mb():
+    """Peak resident growth in MB of one analysis call, in a fresh process.
+
+    measure(seconds, call) builds `waveform`, a 140 Hz tone in noise at
+    16 kHz, a second at a time so that no large temporary sets the peak.
+    It then evaluates `call` (an expression over `waveform`, `features`,
+    `conv_metrics` and `DEFAULTS`) and returns VmHWM less the VmRSS before
+    the call.  A fresh process, since a process's peak resident size cannot
+    be reset; ru_maxrss would also carry the parent's peak across exec.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs VmHWM and VmRSS from /proc/self/status")
+
+    def measure(seconds, call):
+        child = (
+            "import numpy as np\n"
+            "from emorank import conv_metrics, features\n"
+            "from emorank.config import DEFAULTS\n"
+            "from emorank.dsp import Waveform\n"
+            "def status_mb(key):\n"
+            "    with open('/proc/self/status', encoding='ascii') as handle:\n"
+            "        for line in handle:\n"
+            "            if line.startswith(key + ':'):\n"
+            "                return int(line.split()[1]) / 1024\n"
+            "sr = 16000\n"
+            "rng = np.random.default_rng(0)\n"
+            f"samples = np.empty({seconds} * sr)\n"
+            "for lo in range(0, samples.size, sr):\n"
+            "    t = np.arange(lo, lo + sr) / sr\n"
+            "    samples[lo : lo + sr] = (0.5 * np.sin(2 * np.pi * 140.0 * t)\n"
+            "                             + rng.normal(0.0, 0.05, sr))\n"
+            "waveform = Waveform(samples, sr)\n"
+            "before = status_mb('VmRSS')\n"
+            f"{call}\n"
+            "print(status_mb('VmHWM') - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", child], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        return float(result.stdout)
+
+    return measure

@@ -86,6 +86,14 @@ class TestConfig:
         with pytest.raises(InvalidParamsError):
             parse_config_file(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # The last value used to win silently.
+        path = tmp_path / "run.cfg"
+        path.write_text("pitch_fmax = 300\nseed = 1\npitch_fmax = 350\n")
+        with pytest.raises(InvalidParamsError,
+                           match=r"run\.cfg:3: repeated config key 'pitch_fmax'$"):
+            parse_config_file(path)
+
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = soon\n")

@@ -30,6 +30,14 @@ from emorank.errors import (
 from emorank.features import ms_to_samples, pitch_contour
 
 
+# Peak resident growth on 300 s at 16 kHz, in MB: at most half of what each
+# analysis took when its frame-level stages spanned every frame (147 and 92 MB).
+PEAK_GROWTH_MB_FIVE_MINUTES = {
+    "prosody": ("conv_metrics._prosody(waveform, DEFAULTS)", 40.0),
+    "mcep": ("conv_metrics.mcep(waveform)", 40.0),
+}
+
+
 def _seq(rows):
     return np.asarray(rows, dtype=np.float64)
 
@@ -70,6 +78,15 @@ class TestMcep:
             mcep(sine(dur_s=0.1), Config(mcep_order=0))
         with pytest.raises(InvalidParamsError, match="mcep_order must be in"):
             mcep(sine(dur_s=0.1), Config(mcep_order=DEFAULT_MCEP_BANDS))
+
+
+class TestLongInputMemory:
+    @pytest.mark.parametrize("analysis", sorted(PEAK_GROWTH_MB_FIVE_MINUTES))
+    def test_peak_memory_bounded_on_five_minutes(self, peak_growth_mb, analysis):
+        # The pitch-framing contours and the cepstra run a block of frames
+        # at a time, so they peak at about 10 and 20 MB here.
+        call, bound = PEAK_GROWTH_MB_FIVE_MINUTES[analysis]
+        assert peak_growth_mb(300, call) < bound
 
 
 class TestDtwAlign:

@@ -1,19 +1,14 @@
 """Low-level descriptors, deltas, functionals, and the 384-d vector."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import emorank
+from emorank import conv_metrics, dsp, features
 from emorank.config import DEFAULTS, Config
-from emorank.dsp import Waveform
+from emorank.dsp import BLOCK_FRAMES, Waveform, blockwise, frame
 from emorank.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -34,10 +29,12 @@ from emorank.features import (
     frame_rms,
     frame_zcr,
     functionals,
+    ms_to_samples,
     pitch_contour,
     read_features_csv,
     write_features_csv,
 )
+from emorank.synthcorpus import _NOISE_STD, _render, _sample_params
 
 F = len(FUNCTIONAL_NAMES)
 N_CONTOURS = 2 * len(LLD_COLUMNS)
@@ -52,6 +49,8 @@ BITWISE_FUNCTIONALS = ("mean", "stddev", "min", "rel_min_pos", "max", "rel_max_p
                        "range")
 # Peak resident growth of extract_feature_vector on 60 s at 16 kHz, in MB.
 PEAK_GROWTH_MB_PER_MINUTE = 56.0
+# The same on 300 s: at most half of the 113 MB it took with the analyses unblocked.
+PEAK_GROWTH_MB_FIVE_MINUTES = 56.0
 
 
 def _col(name):
@@ -434,42 +433,21 @@ class TestFeatureVector:
         with pytest.raises(EmptyInputError, match="fewer than one 400-sample frame"):
             extract_feature_vector(Waveform(np.ones(100) * 0.1, 16000))
 
-    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
-                        reason="needs VmHWM and VmRSS from /proc/self/status")
-    def test_peak_memory_bounded_on_a_minute(self):
-        # A fresh process, since a process's peak resident size cannot be
-        # reset; ru_maxrss would also carry the parent's peak across exec.
+    def test_peak_memory_bounded_on_a_minute(self, peak_growth_mb):
         # Frames copied out of the samples peaked at 66 MB for this minute
-        # of audio; as views of the samples they peak at 48 MB, and with the
+        # of audio; as views of the samples they peak at 48 MB, with the
         # spectra and autocorrelation energies made in blocks of frames at
-        # 24 MB.  The signal is built a second at a time, so no large
-        # temporary sets the peak.
-        child = (
-            "import numpy as np\n"
-            "from emorank.dsp import Waveform\n"
-            "from emorank.features import extract_feature_vector\n"
-            "def status_mb(key):\n"
-            "    with open('/proc/self/status', encoding='ascii') as handle:\n"
-            "        for line in handle:\n"
-            "            if line.startswith(key + ':'):\n"
-            "                return int(line.split()[1]) / 1024\n"
-            "sr = 16000\n"
-            "rng = np.random.default_rng(0)\n"
-            "samples = np.empty(60 * sr)\n"
-            "for lo in range(0, samples.size, sr):\n"
-            "    t = np.arange(lo, lo + sr) / sr\n"
-            "    samples[lo : lo + sr] = (0.5 * np.sin(2 * np.pi * 140.0 * t)\n"
-            "                             + rng.normal(0.0, 0.05, sr))\n"
-            "waveform = Waveform(samples, sr)\n"
-            "before = status_mb('VmRSS')\n"
-            "extract_feature_vector(waveform)\n"
-            "print(status_mb('VmHWM') - before)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(emorank.__file__).parents[1]))
-        result = subprocess.run([sys.executable, "-c", child], env=env,
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert float(result.stdout) < PEAK_GROWTH_MB_PER_MINUTE
+        # 24 MB, and with every frame-level stage run a block of frames at a
+        # time (dsp.blockwise) and the functionals' moments in place at 10 MB.
+        growth = peak_growth_mb(60, "features.extract_feature_vector(waveform)")
+        assert growth < PEAK_GROWTH_MB_PER_MINUTE
+
+    def test_peak_memory_bounded_on_five_minutes(self, peak_growth_mb):
+        # 113 MB when the autocorrelation and its energies spanned every
+        # frame; 42 MB with blockwise, where the functionals' contour-sized
+        # arrays set the peak.
+        growth = peak_growth_mb(300, "features.extract_feature_vector(waveform)")
+        assert growth < PEAK_GROWTH_MB_FIVE_MINUTES
 
     def test_index_map_layout(self):
         entries = feature_index_map()
@@ -580,3 +558,86 @@ class TestFrameEnergy:
         rng = np.random.default_rng(6)
         contour = energy_contour(*framed(Waveform(rng.normal(0, 0.2, 8000), 16000), 25.0)[:2])
         assert np.all(contour >= 0.0)
+
+
+def _prosody_arrays(waveform):
+    contour, energy = conv_metrics._prosody(waveform, DEFAULTS)
+    return contour.f0_hz, contour.peak, contour.rms, energy
+
+
+# (framing in ms, the analysis that frames a waveform at it), each analysis
+# returning every per-frame array it computes.
+BLOCKED_ANALYSES = {
+    "lld": ((DEFAULTS.lld_frame_ms, DEFAULTS.lld_hop_ms),
+            lambda w: (features.compute_llds(w),)),
+    "pitch": ((DEFAULTS.pitch_frame_ms, DEFAULTS.pitch_hop_ms), _prosody_arrays),
+    "mcep": ((conv_metrics.DEFAULT_MCEP_FRAME_MS, conv_metrics.DEFAULT_MCEP_HOP_MS),
+             lambda w: (conv_metrics.mcep(w),)),
+}
+
+
+class TestBlockwise:
+    def test_views_of_at_most_block_frames(self):
+        frames = np.arange(2 * BLOCK_FRAMES + 3, dtype=np.float64)[:, None]
+        rows = []
+
+        def doubled(block):
+            rows.append(block.shape[0])
+            return 2.0 * block
+
+        np.testing.assert_array_equal(blockwise(doubled, frames), 2.0 * frames)
+        assert rows == [BLOCK_FRAMES, BLOCK_FRAMES, 3]
+
+    @pytest.mark.parametrize("framing", sorted(BLOCKED_ANALYSES))
+    def test_analyses_bitwise_across_blocks(self, monkeypatch, framing):
+        # Every step of these analyses is row-independent, so cutting the
+        # frames into blocks moves no bit: each output equals the same
+        # per-frame functions run on the whole frame matrix at once.
+        (frame_ms, hop_ms), analyse = BLOCKED_ANALYSES[framing]
+        sr = 16000
+        frame_len, hop = ms_to_samples(sr, frame_ms), ms_to_samples(sr, hop_ms)
+        n_frames = 2 * BLOCK_FRAMES + 3
+        t = np.arange(frame_len + (n_frames - 1) * hop) / sr
+        tone = 0.3 * np.sin(2.0 * np.pi * 130.0 * t + 2.0 * np.sin(2.0 * np.pi * 3.0 * t))
+        gated = np.where(np.sin(2.0 * np.pi * 0.7 * t) > -0.2, tone, 0.0)
+        waveform = Waveform(gated + np.random.default_rng(9).normal(0.0, 0.0015, t.size), sr)
+        assert frame(waveform, frame_len, hop).shape[0] == n_frames
+
+        rows = []
+
+        def counting(analysis, frames):
+            def counted(block):
+                rows.append(block.shape[0])
+                return analysis(block)
+            return blockwise(counted, frames)
+
+        for module in (features, conv_metrics):
+            monkeypatch.setattr(module, "blockwise", counting)
+        blocked = analyse(waveform)
+        assert max(rows) <= BLOCK_FRAMES and sum(rows) == n_frames
+        rows.clear()
+        monkeypatch.setattr(dsp, "BLOCK_FRAMES", n_frames)
+        whole = analyse(waveform)
+        assert rows == [n_frames]
+        for got, expected in zip(blocked, whole, strict=True):
+            assert got.shape[0] == n_frames
+            np.testing.assert_array_equal(got, expected)
+
+
+class TestDelayRelation:
+    @pytest.mark.parametrize("h", [1, 7, 500, 600])
+    def test_llds_shift_by_whole_hops(self, h):
+        # h hops of noise at the corpus floor in front of an utterance shift
+        # every LLD frame by h rows, so rows h onward equal the undelayed
+        # rows bit for bit.  At h = 500 the utterance's frames straddle the
+        # 512-frame block edge; at h = 600 they lie past it.
+        sr = 16000
+        hop = ms_to_samples(sr, DEFAULTS.lld_hop_ms)
+        rng = np.random.default_rng(h)
+        for emotional in (False, True):
+            samples = _render(_sample_params(rng), sr, emotional)
+            noise = rng.normal(0.0, _NOISE_STD, h * hop)
+            llds = compute_llds(Waveform(samples, sr))
+            delayed = compute_llds(Waveform(np.concatenate([noise, samples]), sr))
+            assert delayed.shape[0] == h + llds.shape[0]
+            np.testing.assert_array_equal(delayed[h:], llds)

@@ -151,8 +151,9 @@ class TestNumpyKernels:
                                    rtol=0.0, atol=1e-13)
 
     def test_autocorr_spans_energy_blocks(self):
-        # The energies run dsp.BLOCK_FRAMES frames at a time: cut at those
-        # boundaries, the slices' results concatenate to the whole, bit for bit.
+        # dsp.blockwise hands the analyses dsp.BLOCK_FRAMES frames at a time,
+        # which relies on this: cut at those boundaries, the slices' results
+        # concatenate to the whole, bit for bit.
         rng = np.random.default_rng(5)
         n_frames = 2 * BLOCK_FRAMES + 3
         frames = rng.normal(size=(n_frames, 160))
